@@ -37,9 +37,6 @@ class QuotientType:
     def arity(self) -> int:
         return len(self.weights)
 
-    def is_smooth(self) -> bool:
-        return self.r == 1
-
     def is_isolated(self) -> bool:
         """True when the action is free away from the origin."""
         return all(gcd(a, self.r) == 1 for a in self.weights)

@@ -38,6 +38,10 @@ class TruncationError(DuvalError):
     """The truncation degree is too small to decide; retry with a larger one."""
 
 
+class InvariantError(RuntimeError):
+    """An internal invariant of the classifier failed: a bug, not bad input."""
+
+
 Step = tuple[Poly, ...]  # images of the ambient variables, one substitution
 
 
@@ -62,10 +66,14 @@ class SingularityReport:
 
     def __post_init__(self):
         if self.verdict == NOT_DU_VAL:
-            assert self.recommendation is not None
-            assert self.recommendation.discrepancy <= -1
-        if self.verdict == DU_VAL:
-            assert self.recommendation is None
+            if self.recommendation is None:
+                raise InvariantError("a not-Du-Val verdict needs a recommended blow-up")
+            if self.recommendation.discrepancy > -1:
+                raise InvariantError(
+                    f"recommended blow-up has discrepancy {self.recommendation.discrepancy} > -1"
+                )
+        if self.verdict == DU_VAL and self.recommendation is not None:
+            raise InvariantError("a Du Val verdict carries no recommended blow-up")
 
     @property
     def label(self) -> str | None:
@@ -147,7 +155,8 @@ def truncated_split(f: Poly, truncation: int | None = None) -> tuple[Poly, tuple
         current = P.substitute(current, images, cap=n_trunc)
 
     c = current.coefficient(_square(0))
-    assert c != 0
+    if c == 0:
+        raise InvariantError("linear normalization left no x^2 term")
     x_square = _square(0)
     for degree_stage in range(2, n_trunc + 1):
         targets = {
@@ -163,17 +172,11 @@ def truncated_split(f: Poly, truncation: int | None = None) -> tuple[Poly, tuple
         images = _identity_images(vars)
         images[0] = images[0] - shear
         steps.append(tuple(images))
-        # the shear only moves terms containing x; the x-free bulk is inert
-        moving = Poly(vars, {m: co for m, co in current.terms.items() if m[0] >= 1})
-        inert = {m: co for m, co in current.terms.items() if m[0] == 0}
-        moved = P.substitute(moving, images, cap=n_trunc)
-        merged = dict(moved.terms)
-        for m, co in inert.items():
-            merged[m] = merged.get(m, Fraction(0)) + co
-        current = Poly(vars, merged)
+        current = P.substitute(current, images, cap=n_trunc)
 
     residual_terms = {m: coeff for m, coeff in current.terms.items() if m != x_square}
-    assert all(m[0] == 0 for m in residual_terms), "split left x-involving terms"
+    if any(m[0] for m in residual_terms):
+        raise InvariantError("split left x-involving terms")
     g = Poly(vars[1:], {(m[1], m[2]): coeff for m, coeff in residual_terms.items()})
     return g, tuple(steps), c
 
@@ -268,7 +271,8 @@ def classify_double_point(g: Poly, truncation: int | None = None) -> Singularity
         g = P.substitute(g, images, cap=n_trunc)
 
     cube_coeff = g.coefficient((3, 0))
-    assert cube_coeff != 0 and P.jet(g, 3) == cube_coeff * y ** 3
+    if cube_coeff == 0 or P.jet(g, 3) != cube_coeff * y ** 3:
+        raise InvariantError("cube normalization did not give a multiple of y^3")
 
     # shear away the degree-4 and degree-5 terms divisible by y^2
     for degree_stage in (4, 5):

@@ -12,7 +12,10 @@ distinguished INFINITY value rather than an error.
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_left
 from fractions import Fraction
+from math import lcm, prod
 from typing import Iterable, Mapping, Sequence
 
 Monomial = tuple[int, ...]
@@ -151,9 +154,6 @@ class Poly:
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.arity, Fraction(0))
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]))
-
     def __eq__(self, other) -> bool:
         # positional equality: names are metadata
         if not isinstance(other, Poly):
@@ -198,13 +198,7 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             return Poly._raw(self.vars, {m: c * v for m, v in self.terms.items()})
-        self._check_arity(other)
-        out: dict[Monomial, Fraction] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                key = monomial_mul(ma, mb)
-                out[key] = out.get(key, Fraction(0)) + ca * cb
-        return Poly._raw(self.vars, out)
+        return mul(self, other)
 
     __rmul__ = __mul__
 
@@ -281,12 +275,117 @@ def weighted_degrees(f: Poly, weights: Sequence[int]) -> set[int]:
     return {sum(w * e for w, e in zip(ws, m)) for m in f.terms}
 
 
+# -- exact truncated products ------------------------------------------
+#
+# The product kernel works on an integer form: a list of (key, numerator)
+# pairs sorted by key, over one common denominator kept beside it.  A key
+# packs a monomial into one int: its exponents are the low base-B digits and
+# its total degree the leading digit, where B exceeds every degree that can
+# occur (the cap, when one is set).  So adding two keys multiplies the
+# monomials, keys sort by degree first, and a key sum is below
+# (cap + 1) * B^arity exactly when the product has degree <= cap.  One
+# bisection per left-hand term then bounds the right-hand terms it meets,
+# and no pair above the cap is ever multiplied.
+
+Form = list[tuple[int, int]]
+
+
+class _Packing:
+    """Key layout for monomials of total degree <= top, truncated at cap."""
+
+    __slots__ = ("arity", "base", "places", "lead", "cap", "limit")
+
+    def __init__(self, arity: int, top: int, cap: int | None):
+        if cap is not None and cap >= top:
+            cap = None  # no product reaches the cap: nothing to truncate
+        self.arity = arity
+        self.base = (top if cap is None else cap) + 1
+        self.places = [self.base ** i for i in range(arity)]
+        self.lead = self.base ** arity
+        self.cap = cap
+        self.limit = None if cap is None else (cap + 1) * self.lead
+
+    def pack(self, f: Poly) -> tuple[Form, int]:
+        """Integer form of f without its terms above the cap, and its denominator."""
+        cap, places, lead = self.cap, self.places, self.lead
+        terms = [
+            (m, c) for m, c in f.terms.items() if cap is None or monomial_degree(m) <= cap
+        ]
+        den = lcm(*(c.denominator for _, c in terms))
+        return sorted(
+            (sum(map(operator.mul, m, places)) + monomial_degree(m) * lead,
+             c.numerator * (den // c.denominator))
+            for m, c in terms
+        ), den
+
+    def unpack(self, acc: dict[int, int], den: int, vars: tuple[str, ...]) -> Poly:
+        """The polynomial sum(v * monomial(key)) / den over the given context."""
+        base, arity = self.base, self.arity
+        terms: dict[Monomial, Fraction] = {}
+        for key, v in acc.items():
+            if v:
+                mono = []
+                for _ in range(arity):
+                    key, e = divmod(key, base)
+                    mono.append(e)
+                terms[tuple(mono)] = Fraction(v, den)
+        return Poly._raw(vars, terms)
+
+
+def _product(a: Form, b: Form, limit: int | None,
+             out: dict[int, int] | None = None, scale: int = 1) -> dict[int, int]:
+    """Add scale * a * b into out, skipping every pair whose key sum reaches limit."""
+    if len(a) > len(b):
+        a, b = b, a
+    if out is None:
+        out = {}
+    get = out.get
+    b_keys = [k for k, _ in b] if limit is not None else None
+    for ka, ca in a:
+        if b_keys is None:
+            reach = b
+        else:
+            stop = bisect_left(b_keys, limit - ka)
+            if not stop:
+                break  # a is sorted: later terms reach no further
+            reach = b[:stop]
+        ca *= scale
+        for kb, cb in reach:
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    return out
+
+
+def _sorted_form(acc: dict[int, int]) -> Form:
+    return sorted(kv for kv in acc.items() if kv[1])
+
+
+def mul(a: Poly, b: Poly) -> Poly:
+    """Exact product a * b, summed in integers over one common denominator."""
+    a._check_arity(b)
+    vars = a.vars
+    if len(a.terms) > len(b.terms):
+        a, b = b, a
+    if not a.terms:
+        return Poly._raw(vars, {})
+    if len(a.terms) == 1:
+        # a single term: a shift plus a scale of the other factor, which
+        # keeps the term-by-term products of parse_poly cheap
+        ((ma, ca),) = a.terms.items()
+        return Poly._raw(vars, {monomial_mul(ma, mb): ca * cb for mb, cb in b.terms.items()})
+    code = _Packing(a.arity, degree(a) + degree(b), None)
+    form_a, den_a = code.pack(a)
+    form_b, den_b = code.pack(b)
+    return code.unpack(_product(form_a, form_b, None), den_a * den_b, vars)
+
+
 def substitute(f: Poly, images: Sequence[Poly], cap: int | None = None) -> Poly:
     """Ring-homomorphism image of f under x_i -> images[i].
 
     All images must live in one common variable context.  With ``cap`` set,
-    every intermediate product is truncated to total degree <= cap, which
-    keeps iterated shears tame.
+    the result is truncated to total degree <= cap, and no term above the cap
+    is ever formed on the way, which keeps iterated shears tame.  The sum
+    runs in integers over one common denominator until the end.
     """
     images = list(images)
     if len(images) != f.arity:
@@ -295,31 +394,44 @@ def substitute(f: Poly, images: Sequence[Poly], cap: int | None = None) -> Poly:
     for g in images[1:]:
         if g.arity != len(target):
             raise PolyError("images live in inconsistent contexts")
+    if cap is not None and cap < 0:
+        raise PolyError("truncation degree must be non-negative")
 
-    def trunc(p: Poly) -> Poly:
-        return jet(p, cap) if cap is not None else p
+    # every term formed on the way, the images' own included, has degree <= top
+    image_degrees = [0 if g.is_zero() else degree(g) for g in images]
+    top = max([*image_degrees, *(sum(map(operator.mul, m, image_degrees)) for m in f.terms)])
+    code = _Packing(len(target), top, cap)
+    limit = code.limit
+    one: Form = [(0, 1)]
 
-    # memoized powers per image
-    pow_cache: list[dict[int, Poly]] = [dict() for _ in images]
+    # integer forms of the images, and their capped powers
+    packed = [code.pack(g) for g in images]
+    powers: list[list[Form]] = [[one, form] for form, _ in packed]
 
-    def image_power(i: int, e: int) -> Poly:
-        cache = pow_cache[i]
-        if e not in cache:
-            if e == 0:
-                cache[e] = Poly.constant(target, 1)
-            else:
-                cache[e] = trunc(image_power(i, e - 1) * images[i])
+    def image_power(i: int, e: int) -> Form:
+        cache = powers[i]
+        while len(cache) <= e:
+            cache.append(_sorted_form(_product(cache[-1], cache[1], limit)))
         return cache[e]
 
-    accumulated: dict[Monomial, Fraction] = {}
-    for mono, coeff in f.terms.items():
-        term = Poly.constant(target, coeff)
-        for i, e in enumerate(mono):
-            if e:
-                term = trunc(term * image_power(i, e))
-        for key, value in term.terms.items():
-            accumulated[key] = accumulated.get(key, Fraction(0)) + value
-    return trunc(Poly._raw(tuple(target), accumulated))
+    # one denominator for the whole sum
+    dens = [den for _, den in packed]
+    monomial_dens = [
+        c.denominator * prod(d ** e for d, e in zip(dens, m) if e)
+        for m, c in f.terms.items()
+    ]
+    common = lcm(*monomial_dens)
+
+    acc: dict[int, int] = {}
+    for (mono, coeff), den in zip(f.terms.items(), monomial_dens):
+        # one-term factors first, so the longest is met last and only once
+        factors = sorted((image_power(i, e) for i, e in enumerate(mono) if e), key=len)
+        head = one
+        for g in factors[:-1]:
+            head = _sorted_form(_product(head, g, limit))
+        _product(head, factors[-1] if factors else one, limit, acc,
+                 coeff.numerator * (common // den))
+    return code.unpack(acc, common, tuple(target))
 
 
 def assign(f: Poly, values: Mapping[int, int | Fraction]) -> Poly:

@@ -24,10 +24,11 @@ def random_poly(
     max_terms: int = 5,
     max_degree: int = 6,
     nonzero: bool = False,
+    max_denominator: int = 5,
 ) -> Poly:
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
-        coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        coeff = Fraction(rng.randint(-9, 9), rng.randint(1, max_denominator))
         terms[random_monomial(rng, len(vars), max_degree)] = coeff
     f = Poly(vars, terms)
     if nonzero and f.is_zero():
@@ -79,7 +80,7 @@ def random_primitive_weights(rng: random.Random, q: cyclo.QuotientType) -> wblow
             g = 0
             for b in nums:
                 g = gcd(g, b)
-            for p in _primes(g):
+            for p in wblow._prime_divisors(g):
                 reduced = [b // p for b in nums]
                 if wblow.lattice_contains(q, tuple(reduced)):
                     nums = reduced
@@ -88,20 +89,6 @@ def random_primitive_weights(rng: random.Random, q: cyclo.QuotientType) -> wblow
         v = wblow.WeightVector(tuple(nums), r)
         if wblow.check_primitive(q, v):
             return v
-
-
-def _primes(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def random_unimodular_yz(rng: random.Random) -> tuple[int, int, int, int]:

@@ -58,6 +58,18 @@ def test_duval_subcommand():
     assert report["result"]["recommendation"] == {"weights": [3, 2, 1], "discrepancy": "-1"}
 
 
+def test_duval_dense_e8_output_is_byte_identical():
+    # E8 (x^2+y^3+z^5) after the dense GL3 change of
+    # test_verdict_invariant_under_dense_linear_changes.  The golden file is
+    # the complete stdout, so it pins every normalization step, the residual
+    # and the quadratic coefficient produced by the substitution path.
+    golden = (Path(__file__).parent / "data" / "duval_dense_e8.json").read_text(encoding="utf-8")
+    germ = json.loads(golden)["inputs"]["germ"]
+    code, out, err = run_cli(["duval", "--germ", germ])
+    assert code == 0, err
+    assert out == golden
+
+
 def test_milnor_subcommand():
     report = run_json(["milnor", "--germ", "x^2+y^3+z^5"])
     assert report["result"]["milnor_number"] == 8

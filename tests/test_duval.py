@@ -271,3 +271,14 @@ def test_verdict_invariant_under_dense_linear_changes():
         moved = P.substitute(P.parse_poly(text_germ, V3), images)
         report = duval.classify_germ(moved)
         assert (report.verdict, report.family, report.index) == expected, text_germ
+
+
+def test_report_invariants_survive_optimization():
+    # explicit checks, not asserts: `python -O` keeps them
+    with pytest.raises(duval.InvariantError):
+        duval.SingularityReport(verdict=duval.NOT_DU_VAL)
+    with pytest.raises(duval.InvariantError):
+        duval.SingularityReport(
+            verdict=duval.DU_VAL,
+            recommendation=duval.Recommendation(weights=(1, 1, 1), discrepancy=Fraction(-1)),
+        )

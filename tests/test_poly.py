@@ -181,3 +181,76 @@ def test_pow_matches_repeated_multiplication():
         for _ in range(k):
             expected = expected * f
         assert f ** k == expected
+
+
+# -- the integer product kernel -----------------------------------------
+#
+# Oracles written here with plain Fraction arithmetic: the full product of
+# every pair of terms, and substitution as a sum of such products, each
+# truncated only at the end.
+
+CONTEXTS = [("x",), ("x", "y"), V3]
+
+
+def reference_product(a, b):
+    out = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            key = tuple(x + y for x, y in zip(ma, mb))
+            out[key] = out.get(key, Fraction(0)) + ca * cb
+    return Poly(a.vars, out)
+
+
+def reference_substitute(f, images):
+    total = Poly.zero(images[0].vars)
+    for mono, coeff in f.terms.items():
+        term = Poly.constant(images[0].vars, coeff)
+        for image, e in zip(images, mono):
+            for _ in range(e):
+                term = reference_product(term, image)
+        total = total + term
+    return total
+
+
+def reference_jet(f, cap):
+    if cap is None:
+        return f
+    return Poly(f.vars, {m: c for m, c in f.terms.items() if sum(m) <= cap})
+
+
+def kernel_factor(rng, vars):
+    """A random factor: zero, one term, or up to six terms over denominators <= 7."""
+    shape = rng.random()
+    if shape < 0.1:
+        return Poly.zero(vars)
+    max_terms = 1 if shape < 0.3 else 6
+    return random_poly(rng, vars, max_terms=max_terms, max_degree=5, nonzero=True,
+                       max_denominator=7)
+
+
+def test_mul_matches_reference_product():
+    rng = random.Random(53)
+    for _ in range(400):
+        vars = rng.choice(CONTEXTS)
+        a, b = kernel_factor(rng, vars), kernel_factor(rng, vars)
+        assert P.mul(a, b) == a * b == reference_product(a, b)
+
+
+def test_substitute_with_cap_matches_truncated_reference():
+    rng = random.Random(59)
+    for _ in range(150):
+        source, target = rng.choice(CONTEXTS), rng.choice(CONTEXTS)
+        f = random_poly(rng, source, max_terms=5, max_degree=4, max_denominator=7)
+        images = [kernel_factor(rng, target) for _ in source]
+        if rng.random() < 0.2:
+            images[rng.randrange(len(images))] = Poly.zero(target)
+        full = P.substitute(f, images)
+        assert full == reference_substitute(f, images)
+        cap = rng.randint(0, 12)
+        assert P.substitute(f, images, cap) == P.jet(full, cap) == reference_jet(full, cap)
+
+
+def test_truncation_degree_must_be_non_negative():
+    f = P.parse_poly("x+y", ("x", "y"))
+    with pytest.raises(P.PolyError):
+        P.substitute(f, [f, f], cap=-1)
