@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import locdef
 from . import poly as P
-from .poly import INFINITY, Poly
+from .poly import INFINITY, InvariantError, Poly
 
 SMOOTH = "smooth"
 DU_VAL = "du_val"
@@ -36,10 +36,6 @@ class NonIsolatedGermError(DuvalError):
 
 class TruncationError(DuvalError):
     """The truncation degree is too small to decide; retry with a larger one."""
-
-
-class InvariantError(RuntimeError):
-    """An internal invariant of the classifier failed: a bug, not bad input."""
 
 
 Step = tuple[Poly, ...]  # images of the ambient variables, one substitution

@@ -60,6 +60,10 @@ class PolyError(ValueError):
     """Invalid polynomial input or operation."""
 
 
+class InvariantError(RuntimeError):
+    """An internal invariant failed: a bug, not bad input."""
+
+
 class PolyParseError(PolyError):
     """Syntax or vocabulary error while parsing polynomial text."""
 

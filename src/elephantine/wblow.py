@@ -21,7 +21,7 @@ from math import gcd
 
 from . import poly as P
 from .cyclo import QuotientType, semi_invariant_character
-from .poly import INFINITY, Poly
+from .poly import INFINITY, InvariantError, Poly
 
 
 class BlowupError(ValueError):
@@ -199,7 +199,8 @@ def strict_transform(f: Poly, q: QuotientType, v: WeightVector, i: int) -> tuple
         raise BlowupError(f"chart index {i} out of range")
     m = divisor_weight(f, v)
     rm = m * q.r
-    assert rm.denominator == 1
+    if rm.denominator != 1:
+        raise InvariantError("r * wt_v(f) is not an integer")
     rm = rm.numerator
     out = {}
     for mono, coeff in f.terms.items():

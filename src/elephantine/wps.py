@@ -21,7 +21,7 @@ from math import gcd
 
 from . import poly as P
 from .cyclo import QuotientType, normalize_type, render_type
-from .poly import Monomial, Poly
+from .poly import InvariantError, Monomial, Poly
 
 
 class WpsError(ValueError):
@@ -88,18 +88,6 @@ def _uni_deg(p: list[Fraction]) -> int:
     return len(p) - 1
 
 
-def _uni_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = list(a)
-    db, lb = _uni_deg(b), b[-1]
-    while a and _uni_deg(a) >= db:
-        shift = _uni_deg(a) - db
-        factor = a[-1] / lb
-        for k in range(db + 1):
-            a[shift + k] -= factor * b[k]
-        _uni_trim(a)
-    return a
-
-
 def _uni_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
     a = list(a)
     db, lb = _uni_deg(b), b[-1]
@@ -124,7 +112,7 @@ def _uni_monic(p: list[Fraction]) -> list[Fraction]:
 def _uni_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     a, b = list(a), list(b)
     while b:
-        a, b = b, _uni_rem(a, b)
+        a, b = b, _uni_divmod(a, b)[1]
     return _uni_monic(a)
 
 
@@ -136,10 +124,7 @@ def _uni_squarefree(p: list[Fraction]) -> list[Fraction]:
     """Monic squarefree part; its degree counts the distinct complex roots."""
     if not p or _uni_deg(p) == 0:
         return _uni_monic(p)
-    g = _uni_gcd(p, _uni_derivative(p))
-    quot, rem = _uni_divmod(p, g)
-    assert not rem
-    return _uni_monic(quot)
+    return _uni_monic(_uni_exact_div(p, _uni_gcd(p, _uni_derivative(p))))
 
 
 def _uni_strip_origin(p: list[Fraction]) -> tuple[int, list[Fraction]]:
@@ -153,7 +138,8 @@ def _uni_strip_origin(p: list[Fraction]) -> tuple[int, list[Fraction]]:
 
 def _uni_exact_div(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     quot, rem = _uni_divmod(a, b)
-    assert not rem
+    if rem:
+        raise InvariantError("inexact univariate division")
     return quot
 
 
@@ -386,7 +372,7 @@ def stratum_report(surface: WpsHypersurface, i: int, j: int) -> StratumReport:
 def _orbit_count(distinct_roots: int, residual_order: int) -> int:
     # the residual cyclic identification acts freely on nonzero chart points
     if distinct_roots % residual_order != 0:
-        raise WpsError(
+        raise InvariantError(
             f"root count {distinct_roots} not divisible by the residual order {residual_order}"
         )
     return distinct_roots // residual_order
@@ -431,7 +417,8 @@ def _quotient_batches(
             quotient=quotient,
             normalized=normalize_type(quotient),
         )
-    assert not remaining or _uni_deg(remaining) < 1, "quasi-smooth points left unassigned"
+    if remaining and _uni_deg(remaining) >= 1:
+        raise InvariantError("quasi-smooth points left unassigned")
 
 
 # -- anticanonical data --------------------------------------------------
@@ -495,7 +482,8 @@ def elephant_equation(surface: WpsHypersurface) -> ElephantReport:
     i = section.index(1)
     residual_weights = tuple(w for k, w in enumerate(surface.weights) if k != i)
     restricted = P.assign(surface.equation, {i: 0})
-    assert P.weighted_degrees(restricted, residual_weights) <= {surface.degree}
+    if not P.weighted_degrees(restricted, residual_weights) <= {surface.degree}:
+        raise InvariantError("restricted equation is not quasi-homogeneous of the surface degree")
     return ElephantReport(
         status="extracted",
         section_variable=surface.vars[i],

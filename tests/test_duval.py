@@ -275,6 +275,7 @@ def test_verdict_invariant_under_dense_linear_changes():
 
 def test_report_invariants_survive_optimization():
     # explicit checks, not asserts: `python -O` keeps them
+    assert duval.InvariantError is P.InvariantError
     with pytest.raises(duval.InvariantError):
         duval.SingularityReport(verdict=duval.NOT_DU_VAL)
     with pytest.raises(duval.InvariantError):

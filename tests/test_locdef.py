@@ -68,6 +68,49 @@ def test_milnor_quasi_homogeneous_product_formula():
         assert locdef.milnor_number(P.parse_poly(text, V3)) == expected
 
 
+def _per_degree_stable_dimension(f, ideal_tag, cap):
+    # reference: one echelon for every N from 2 up to the cap, stopping at
+    # the first two equal consecutive dimensions
+    limit = locdef.default_cap() if cap is None else cap
+    previous = None
+    for n_trunc in range(2, limit + 1):
+        dim = locdef.quotient_dim(f, ideal_tag, n_trunc).dimension
+        if dim == previous:
+            return dim
+        previous = dim
+    return None
+
+
+# At the default cap of 24 a non-isolated germ in three variables costs the
+# per-degree reference 1-2 s, so that cap is checked on germs in two.
+@pytest.mark.parametrize("nvars, cap", [(3, 2), (3, 3), (3, 5), (3, 9), (2, 9), (2, None)])
+def test_stable_dimension_matches_per_degree_loop(nvars, cap):
+    vars = V3[:nvars]
+    rng = random.Random(103)
+    germs = []
+    while len(germs) < 12:
+        f = random_poly(rng, vars, max_terms=4, max_degree=5, nonzero=True)
+        f = f - P.jet(f, 1)
+        if not f.is_zero():
+            germs.append(f)
+    isolated = 0
+    for f in germs:
+        mu = locdef.milnor_number(f, cap)
+        assert mu == _per_degree_stable_dimension(f, "jacobian", cap), P.render(f)
+        assert locdef.tjurina_number(f, cap) == _per_degree_stable_dimension(f, "tjurina", cap)
+        isolated += mu is not None
+    if cap is None:
+        assert 0 < isolated < len(germs)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_milnor_number_at_the_cap_boundary(k):
+    # A_k has basis 1, z, ..., z^(k-1): the plateau at degree k needs N = k + 1
+    f = P.parse_poly(f"x^2+y^2+z^{k + 1}", V3)
+    assert locdef.milnor_number(f, cap=k + 1) == k
+    assert locdef.milnor_number(f, cap=k) is None
+
+
 def test_tjurina_equals_milnor_for_quasi_homogeneous():
     f = P.parse_poly("x^2+y^3+z^5", V3)
     assert locdef.tjurina_number(f) == locdef.milnor_number(f) == 8
@@ -176,6 +219,18 @@ def test_in_m2_image_high_order_always_true():
         if g.is_zero():
             continue
         assert locdef.in_m2_image(f, g)
+
+
+def test_in_m2_image_does_not_depend_on_truncation():
+    rng = random.Random(107)
+    answers = set()
+    for _ in range(40):
+        f = random_poly(rng, V3, max_terms=4, max_degree=3, nonzero=True)
+        g = random_poly(rng, V3, max_terms=3, max_degree=3, nonzero=True)
+        first = locdef.in_m2_image(f, g, 2)
+        assert all(locdef.in_m2_image(f, g, n) == first for n in range(3, 11))
+        answers.add(first)
+    assert answers == {True, False}
 
 
 def test_truncation_env_override(monkeypatch):

@@ -41,6 +41,12 @@ def test_wellformed():
         wps.wellformed((0, 1, 2))
 
 
+def test_orbit_count_mismatch_is_an_invariant_failure():
+    # an internal invariant (CLI exit 1), not an input error (exit 2)
+    with pytest.raises(P.InvariantError):
+        wps._orbit_count(5, 2)
+
+
 def test_equation_must_be_weighted_homogeneous():
     with pytest.raises(WpsError):
         surface((1, 2, 3), 6, "x^6+y^2", ("x", "y", "z"))
