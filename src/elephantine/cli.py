@@ -342,7 +342,11 @@ def _elephant_record(e: wps_mod.ElephantReport) -> dict:
 def _run_wps(args) -> dict | list[dict]:
     if args.input_file:
         reports = []
-        with open(args.input_file, encoding="utf-8") as handle:
+        try:
+            handle = open(args.input_file, encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot read {args.input_file}: {exc.strerror or exc}") from exc
+        with handle:
             for lineno, line in enumerate(handle, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):

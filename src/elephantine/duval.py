@@ -7,7 +7,9 @@ a 3-jet with two distinct factors gives type D, a perfect-cube 3-jet is
 normalized to y^3 and the 4- and 5-jet coefficients decide E6/E7/E8 or,
 failing all of those, the (3, 2, 1) weighted blow-up with discrepancy -1.
 A and D indices come from the Milnor-number oracle; every Du Val verdict is
-cross-checked against it.
+cross-checked against it.  The oracle runs on g itself: the Jacobian ideal
+of x^2 + g contains x, so O_3/(J + m^N) and O_2/(J_g + m^N) are isomorphic
+for every N and mu(x^2 + g) = mu(g) (Sebastiani-Thom).
 """
 
 from __future__ import annotations
@@ -22,9 +24,6 @@ from .poly import INFINITY, InvariantError, Poly
 SMOOTH = "smooth"
 DU_VAL = "du_val"
 NOT_DU_VAL = "not_du_val"
-
-_DU_VAL_MILNOR = {"E": {6: 6, 7: 7, 8: 8}}
-
 
 class DuvalError(ValueError):
     """Invalid classifier input."""
@@ -82,10 +81,32 @@ def _identity_images(vars: tuple[str, ...]) -> list[Poly]:
     return [Poly.variable(vars, i) for i in range(len(vars))]
 
 
-def _apply_steps(f: Poly, steps: tuple[Step, ...], cap: int) -> Poly:
-    for images in steps:
-        f = P.substitute(f, list(images), cap=cap)
-    return f
+def _shear(
+    f: Poly, i: int, k: int, lead: Fraction, degree: int, cap: int, steps: list[Step]
+) -> Poly:
+    """One shear of f against its term lead * v^k, v the variable i.
+
+    s is the sum of the degree-`degree` terms divisible by v^(k-1), other
+    than v^k, divided by k * lead * v^(k-1); the substitution v -> v - s
+    cancels those terms, changes none of lower degree, and is recorded in
+    steps.
+    """
+    pure = tuple(k if j == i else 0 for j in range(f.arity))
+    targets = {
+        m: coeff
+        for m, coeff in f.terms.items()
+        if sum(m) == degree and m[i] >= k - 1 and m != pure
+    }
+    if not targets:
+        return f
+    shear = Poly(f.vars, {
+        tuple(e - (k - 1) if j == i else e for j, e in enumerate(m)): coeff / (k * lead)
+        for m, coeff in targets.items()
+    })
+    images = _identity_images(f.vars)
+    images[i] = images[i] - shear
+    steps.append(tuple(images))
+    return P.substitute(f, images, cap=cap)
 
 
 def perfect_cube_root(cubic: Poly) -> Poly | None:
@@ -125,6 +146,8 @@ def truncated_split(f: Poly, truncation: int | None = None) -> tuple[Poly, tuple
         raise DuvalError("splitting expects a germ in 3 variables")
     if P.order(f) != 2:
         raise DuvalError("splitting expects a germ of order exactly 2")
+    if n_trunc < 2:
+        raise TruncationError("splitting needs truncation >= 2")
     vars = f.vars
     steps: list[Step] = []
     current = P.jet(f, n_trunc)
@@ -153,23 +176,10 @@ def truncated_split(f: Poly, truncation: int | None = None) -> tuple[Poly, tuple
     c = current.coefficient(_square(0))
     if c == 0:
         raise InvariantError("linear normalization left no x^2 term")
-    x_square = _square(0)
     for degree_stage in range(2, n_trunc + 1):
-        targets = {
-            mono: coeff
-            for mono, coeff in current.terms.items()
-            if sum(mono) == degree_stage and mono[0] >= 1 and mono != x_square
-        }
-        if not targets:
-            continue
-        shear = Poly(vars, {
-            (m[0] - 1, m[1], m[2]): coeff / (2 * c) for m, coeff in targets.items()
-        })
-        images = _identity_images(vars)
-        images[0] = images[0] - shear
-        steps.append(tuple(images))
-        current = P.substitute(current, images, cap=n_trunc)
+        current = _shear(current, 0, 2, c, degree_stage, n_trunc, steps)
 
+    x_square = _square(0)
     residual_terms = {m: coeff for m, coeff in current.terms.items() if m != x_square}
     if any(m[0] for m in residual_terms):
         raise InvariantError("split left x-involving terms")
@@ -188,14 +198,6 @@ def _cross(i: int, j: int) -> tuple[int, int, int]:
     mono[i] = 1
     mono[j] = 1
     return tuple(mono)
-
-
-def _embed_double_point(g: Poly) -> Poly:
-    """The 3-variable germ x^2 + g(y, z)."""
-    vars = ("x",) + tuple(g.vars) if "x" not in g.vars else ("x0",) + tuple(g.vars)
-    terms = {(0, m[0], m[1]): c for m, c in g.terms.items()}
-    terms[(2, 0, 0)] = terms.get((2, 0, 0), Fraction(0)) + 1
-    return Poly(vars, terms)
 
 
 def _oracle_milnor(germ: Poly) -> int:
@@ -228,14 +230,6 @@ def classify_double_point(g: Poly, truncation: int | None = None) -> Singularity
     if g_order < 2:
         raise DuvalError("double-point residual must have order >= 2")
 
-    vars = g.vars
-    steps: list[Step] = []
-
-    if g_order == 2:
-        mu = _oracle_milnor(_embed_double_point(g))
-        return SingularityReport(
-            verdict=DU_VAL, family="A", index=mu, milnor=mu, residual=g,
-        )
     if g_order >= 4:
         return SingularityReport(
             verdict=NOT_DU_VAL,
@@ -243,59 +237,40 @@ def classify_double_point(g: Poly, truncation: int | None = None) -> Singularity
             residual=g,
         )
 
-    cubic = P.jet(g, 3)
-    ell = perfect_cube_root(cubic)
-    if ell is None:
-        mu = _oracle_milnor(_embed_double_point(g))
-        report = SingularityReport(
-            verdict=DU_VAL, family="D", index=mu, milnor=mu, residual=g,
-        )
-        _check_du_val_milnor(report)
-        return report
+    steps: list[Step] = []
+    family, index = "A", None
+    if g_order == 3:
+        ell = perfect_cube_root(P.jet(g, 3))
+        family = "D" if ell is None else "E"
+    if family == "E":
+        # move the unique linear factor to the first coordinate
+        y = Poly.variable(g.vars, 0)
+        z = Poly.variable(g.vars, 1)
+        alpha_coeff = ell.coefficient((1, 0))
+        beta_coeff = ell.coefficient((0, 1))
+        if alpha_coeff != 0:
+            images = [(y - beta_coeff * z) * (Fraction(1) / alpha_coeff), z]
+        else:
+            images = [z, y]
+        if images != [y, z]:
+            steps.append(tuple(images))
+            g = P.substitute(g, images, cap=n_trunc)
 
-    # move the unique linear factor to the first coordinate
-    y = Poly.variable(vars, 0)
-    z = Poly.variable(vars, 1)
-    alpha_coeff = ell.coefficient((1, 0))
-    beta_coeff = ell.coefficient((0, 1))
-    if alpha_coeff != 0:
-        images = [(y - beta_coeff * z) * (Fraction(1) / alpha_coeff), z]
-    else:
-        images = [z, y]
-    if images != [y, z]:
-        steps.append(tuple(images))
-        g = P.substitute(g, images, cap=n_trunc)
+        cube_coeff = g.coefficient((3, 0))
+        if cube_coeff == 0 or P.jet(g, 3) != cube_coeff * y ** 3:
+            raise InvariantError("cube normalization did not give a multiple of y^3")
 
-    cube_coeff = g.coefficient((3, 0))
-    if cube_coeff == 0 or P.jet(g, 3) != cube_coeff * y ** 3:
-        raise InvariantError("cube normalization did not give a multiple of y^3")
+        # shear away the degree-4 and degree-5 terms divisible by y^2
+        for degree_stage in (4, 5):
+            g = _shear(g, 0, 3, cube_coeff, degree_stage, n_trunc, steps)
 
-    # shear away the degree-4 and degree-5 terms divisible by y^2
-    for degree_stage in (4, 5):
-        targets = {
-            m: coeff
-            for m, coeff in g.terms.items()
-            if sum(m) == degree_stage and m[0] >= 2
-        }
-        if not targets:
-            continue
-        shear = Poly(vars, {
-            (m[0] - 2, m[1]): coeff / (3 * cube_coeff) for m, coeff in targets.items()
-        })
-        images = [y - shear, z]
-        steps.append(tuple(images))
-        g = P.substitute(g, images, cap=n_trunc)
-
-    alpha = g.coefficient((0, 4))
-    beta = g.coefficient((1, 3))
-    if alpha != 0:
-        family_index = 6
-    elif beta != 0:
-        family_index = 7
-    else:
-        gamma = g.coefficient((0, 5))
-        if gamma != 0:
-            family_index = 8
+        # alpha z^4, beta y z^3 and gamma z^5 decide E6, E7 and E8
+        if g.coefficient((0, 4)) != 0:
+            index = 6
+        elif g.coefficient((1, 3)) != 0:
+            index = 7
+        elif g.coefficient((0, 5)) != 0:
+            index = 8
         else:
             # both the delta != 0 and delta = 0 sub-cases take the same blow-up
             return SingularityReport(
@@ -304,11 +279,12 @@ def classify_double_point(g: Poly, truncation: int | None = None) -> Singularity
                 normalization=tuple(steps),
                 residual=g,
             )
-    mu = _oracle_milnor(_embed_double_point(g))
+
+    mu = _oracle_milnor(g)
     report = SingularityReport(
         verdict=DU_VAL,
-        family="E",
-        index=family_index,
+        family=family,
+        index=mu if index is None else index,
         milnor=mu,
         normalization=tuple(steps),
         residual=g,
@@ -318,8 +294,7 @@ def classify_double_point(g: Poly, truncation: int | None = None) -> Singularity
 
 
 def _check_du_val_milnor(report: SingularityReport) -> None:
-    expected = report.index
-    if report.milnor != expected:
+    if report.milnor != report.index:
         raise NonIsolatedGermError(
             f"oracle mismatch: {report.family}{report.index} verdict with "
             f"Milnor number {report.milnor}"
@@ -385,4 +360,7 @@ def _lift_plane_poly(p: Poly, vars: tuple[str, ...]) -> Poly:
 def normalized_form(f: Poly, report: SingularityReport, truncation: int | None = None) -> Poly:
     """Apply the report's normalization steps to f, truncated."""
     n_trunc = locdef.default_truncation() if truncation is None else truncation
-    return _apply_steps(P.jet(f, n_trunc), report.normalization, n_trunc)
+    f = P.jet(f, n_trunc)
+    for images in report.normalization:
+        f = P.substitute(f, list(images), cap=n_trunc)
+    return f

@@ -183,10 +183,6 @@ def milnor_number(f: Poly, cap: int | None = None) -> int | None:
     return _stable_dimension(f, "jacobian", cap)
 
 
-def is_isolated(f: Poly, cap: int | None = None) -> bool:
-    return milnor_number(f, cap) is not None
-
-
 def tjurina_number(f: Poly, cap: int | None = None) -> int | None:
     """Stable dimension of O/((f) + J_f + m^N), or None without stabilization."""
     return _stable_dimension(f, "tjurina", cap)

@@ -70,6 +70,20 @@ def test_duval_dense_e8_output_is_byte_identical():
     assert out == golden
 
 
+def test_duval_split_branches_output_is_byte_identical():
+    # one stdout line per germ: a quadratic part of cross terms only
+    # (x*y+y^3+z^3, y*z+x^3+z^5) and a pivot swap (z^2+x*y+x^4), the split
+    # branches the dense E8 golden does not reach
+    golden = (Path(__file__).parent / "data" / "duval_split.jsonl").read_text(encoding="utf-8")
+    lines = golden.splitlines(keepends=True)
+    assert len(lines) == 3
+    for line in lines:
+        germ = json.loads(line)["inputs"]["germ"]
+        code, out, err = run_cli(["duval", "--germ", germ])
+        assert code == 0, err
+        assert out == line
+
+
 def test_milnor_subcommand():
     report = run_json(["milnor", "--germ", "x^2+y^3+z^5"])
     assert report["result"]["milnor_number"] == 8
@@ -155,6 +169,22 @@ def test_exit_code_2_on_bad_input():
         code, out, err = run_cli(argv)
         assert code == 2, argv
         assert err.strip()
+
+
+def test_duval_truncation_below_two_is_input_error():
+    for truncation in ("0", "1"):
+        code, out, err = run_cli(["duval", "--germ", "x^2+y^3+z^5", "--truncation", truncation])
+        assert code == 2
+        assert out == ""
+        assert err.strip() and "internal error" not in err
+
+
+def test_wps_unreadable_input_file_is_input_error(tmp_path):
+    for path in (tmp_path / "absent.txt", tmp_path):  # missing, and a directory
+        code, out, err = run_cli(["wps", "--input-file", str(path)])
+        assert code == 2
+        assert out == ""
+        assert str(path) in err and "internal error" not in err
 
 
 def test_unknown_subcommand_is_input_error():

@@ -15,7 +15,7 @@ from elephantine.duval import (
 from elephantine.poly import Poly
 from elephantine.wblow import WeightVector
 
-from _support import random_unimodular_yz
+from _support import random_poly, random_unimodular_yz
 
 V2 = ("y", "z")
 V3 = ("x", "y", "z")
@@ -283,3 +283,50 @@ def test_report_invariants_survive_optimization():
             verdict=duval.DU_VAL,
             recommendation=duval.Recommendation(weights=(1, 1, 1), discrepancy=Fraction(-1)),
         )
+
+
+def test_truncation_below_two_is_a_truncation_error():
+    f = P.parse_poly("x^2+y^3+z^5", V3)
+    for truncation in (0, 1):
+        with pytest.raises(TruncationError):
+            duval.truncated_split(f, truncation)
+        with pytest.raises(TruncationError):
+            duval.classify_germ(f, truncation)
+
+
+def _double_point(g):
+    """x^2 + g(y, z), the germ the Milnor oracle used to run on."""
+    terms = {(0,) + m: c for m, c in g.terms.items()}
+    terms[(2, 0, 0)] = terms.get((2, 0, 0), Fraction(0)) + 1
+    return Poly(V3, terms)
+
+
+def _plane_germs():
+    rng = random.Random(113)
+    germs = [P.parse_poly(text, V2) for text in ("y^2", "y^2*z", "y^2+z^13")]
+    while len(germs) < 15:
+        g = random_poly(rng, V2, max_terms=4, max_degree=6, nonzero=True)
+        g = g - P.jet(g, 1)
+        if not g.is_zero():
+            germs.append(g)
+    return germs
+
+
+@pytest.mark.parametrize("cap", [3, 5, 9, 12, None])
+def test_milnor_oracle_on_g_matches_the_double_point(cap):
+    # the Jacobian ideal of x^2 + g contains x, so mu(x^2 + g) = mu(g),
+    # None included, at every cap
+    isolated = 0
+    for g in _plane_germs():
+        mu = locdef.milnor_number(g, cap)
+        assert mu == locdef.milnor_number(_double_point(g), cap), P.render(g)
+        isolated += mu is not None
+    if cap is None:
+        assert 0 < isolated < 15
+
+
+def test_quotient_basis_of_g_lifts_to_the_double_point():
+    for g in _plane_germs():
+        for n in range(2, 14):
+            lifted = tuple((0,) + m for m in locdef.quotient_dim(g, "jacobian", n).basis)
+            assert lifted == locdef.quotient_dim(_double_point(g), "jacobian", n).basis

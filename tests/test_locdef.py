@@ -45,8 +45,6 @@ def test_milnor_numbers():
     assert locdef.milnor_number(P.parse_poly("x^2+y^2+z^2", V3)) == 1
     assert locdef.milnor_number(P.parse_poly("x^2+y^3+z^5", V3)) == 8
     assert locdef.milnor_number(P.parse_poly("x^2+y^2*z", V3)) is None
-    assert not locdef.is_isolated(P.parse_poly("x^2+y^2*z", V3))
-    assert locdef.is_isolated(P.parse_poly("x^2+y^3+z^4", V3))
 
 
 def test_milnor_rejects_nonvanishing_germ():
