@@ -3,7 +3,10 @@
 Subcommands: blowup, charts, duval, t1, milnor, wps.  Every report carries
 the command, an echo of the parsed inputs, the result record, warnings, and
 the toolkit version; keys are sorted and rationals rendered as exact
-strings, so identical invocations produce byte-identical output.
+strings, so identical invocations produce byte-identical output.  Handlers
+return the result record and the warnings, and `run` builds that envelope:
+the echo holds every option of the subcommand except --input-file and
+--pretty.  A wps batch file gets one envelope per line.
 
 Exit codes: 0 on success, 2 on input errors (diagnostic on stderr), 1 on an
 internal invariant violation.
@@ -49,6 +52,9 @@ def _split_names(raw: str) -> tuple[str, ...]:
     names = tuple(part.strip() for part in raw.split(",") if part.strip())
     if not names:
         raise InputError("empty variable list")
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            raise InputError(f"variable name {name!r} is repeated in {raw!r}")
     return names
 
 
@@ -56,6 +62,10 @@ def _germ_vars(args) -> tuple[str, ...]:
     if args.vars:
         return _split_names(args.vars)
     return ("x", "y", "z")
+
+
+# parsed attributes left out of the echo of the inputs
+_NOT_ECHOED = ("subcommand", "handler", "pretty", "input_file")
 
 
 def _report(command: str, inputs: dict, result: dict, warnings: list[str]) -> dict:
@@ -97,7 +107,7 @@ def _chart_records(q: QuotientType, v: wblow.WeightVector, names, f: Poly | None
     return records
 
 
-def _run_blowup(args) -> dict:
+def _run_blowup(args) -> tuple[dict, list[str]]:
     q = parse_type(args.type)
     v = wblow.parse_weight_vector(args.weights)
     names = _split_names(args.vars) if args.vars else wblow.default_vars(q.arity)
@@ -112,8 +122,9 @@ def _run_blowup(args) -> dict:
         "canonical_discrepancy": _frac(wblow.canonical_discrepancy(q, v)),
     }
     f = None
-    if args.divisor is not None:
-        f = P.parse_poly(args.divisor, names)
+    divisor = getattr(args, "divisor", None)  # charts has no --divisor
+    if divisor is not None:
+        f = P.parse_poly(divisor, names)
         if f.is_zero():
             raise InputError("divisor polynomial must be nonzero")
         character = cyclo.semi_invariant_character(f, q)
@@ -130,19 +141,10 @@ def _run_blowup(args) -> dict:
                 "pair discrepancy is not an integer; the log divisor cannot be Cartier"
             )
     result["charts"] = _chart_records(q, v, names, f)
-    inputs = {"type": args.type, "weights": args.weights, "divisor": args.divisor, "vars": args.vars}
-    return _report("blowup", inputs, result, warnings)
+    return result, warnings
 
 
-def _run_charts(args) -> dict:
-    args.divisor = None
-    report = _run_blowup(args)
-    report["command"] = "charts"
-    report["inputs"].pop("divisor")
-    return report
-
-
-def _run_duval(args) -> dict:
+def _run_duval(args) -> tuple[dict, list[str]]:
     names = _germ_vars(args)
     if len(names) != 3:
         raise InputError("the classifier expects a germ in exactly 3 variables")
@@ -172,11 +174,10 @@ def _run_duval(args) -> dict:
             else None
         ),
     }
-    inputs = {"germ": args.germ, "vars": args.vars, "truncation": args.truncation}
-    return _report("duval", inputs, result, [])
+    return result, []
 
 
-def _run_milnor(args) -> dict:
+def _run_milnor(args) -> tuple[dict, list[str]]:
     names = _germ_vars(args)
     f = P.parse_poly(args.germ, names)
     mu = locdef.milnor_number(f, args.cap)
@@ -186,11 +187,10 @@ def _run_milnor(args) -> dict:
         "tjurina_number": tau,
         "isolated": mu is not None,
     }
-    inputs = {"germ": args.germ, "vars": args.vars, "cap": args.cap}
-    return _report("milnor", inputs, result, [])
+    return result, []
 
 
-def _run_t1(args) -> dict:
+def _run_t1(args) -> tuple[dict, list[str]]:
     names = _germ_vars(args)
     f = P.parse_poly(args.germ, names)
     q = parse_type(args.type) if args.type else cyclo.smooth_type(len(names))
@@ -213,17 +213,12 @@ def _run_t1(args) -> dict:
             for c, ms in sorted(table.items())
         ],
     }
-    inputs = {
-        "germ": args.germ,
-        "type": args.type,
-        "vars": args.vars,
-        "ideal": args.ideal,
-        "truncation": args.truncation,
-    }
-    return _report("t1", inputs, result, [])
+    return result, []
 
 
-def _wps_surface(weights_raw: str, degree_raw: str, equation_raw: str | None, vars_raw: str | None) -> dict:
+def _wps_surface(
+    weights_raw: str, degree_raw: str, equation_raw: str | None, vars_raw: str | None
+) -> tuple[dict, list[str]]:
     try:
         weights = tuple(int(part) for part in weights_raw.split(","))
     except ValueError as exc:
@@ -254,7 +249,7 @@ def _wps_surface(weights_raw: str, degree_raw: str, equation_raw: str | None, va
         if len(names) != len(weights):
             raise InputError(f"need {len(weights)} variable names, got {len(names)}")
         result["sections"] = [_mono_str(m, names) for m in basis]
-        return {"result": result, "warnings": warnings}
+        return result, warnings
 
     if vars_raw:
         names = _split_names(vars_raw)
@@ -278,7 +273,7 @@ def _wps_surface(weights_raw: str, degree_raw: str, equation_raw: str | None, va
         "coordinate points and 1-dimensional coordinate strata only; "
         "deeper strata are not searched"
     )
-    return {"result": result, "warnings": warnings}
+    return result, warnings
 
 
 def _vertex_record(v: wps_mod.VertexReport, names) -> dict:
@@ -339,41 +334,35 @@ def _elephant_record(e: wps_mod.ElephantReport) -> dict:
     return record
 
 
-def _run_wps(args) -> dict | list[dict]:
+def _run_wps(args) -> tuple[dict, list[str]] | list[dict]:
     if args.input_file:
-        reports = []
         try:
-            handle = open(args.input_file, encoding="utf-8")
+            with open(args.input_file, encoding="utf-8") as handle:
+                lines = handle.readlines()
         except OSError as exc:
             raise InputError(f"cannot read {args.input_file}: {exc.strerror or exc}") from exc
-        with handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = [part.strip() for part in line.split("|")]
-                if len(parts) not in (3, 4):
-                    raise InputError(
-                        f"{args.input_file}:{lineno}: expected 'weights | degree | equation"
-                        " [| vars]'"
-                    )
-                weights_raw, degree_raw, equation_raw = parts[0], parts[1], parts[2]
-                vars_raw = parts[3] if len(parts) == 4 else None
-                payload = _wps_surface(weights_raw, degree_raw, equation_raw or None, vars_raw)
-                inputs = {"weights": weights_raw, "degree": degree_raw,
-                          "equation": equation_raw or None, "vars": vars_raw}
-                reports.append(_report("wps", inputs, payload["result"], payload["warnings"]))
+        except UnicodeDecodeError as exc:
+            raise InputError(f"cannot read {args.input_file}: not UTF-8 text ({exc.reason})") from exc
+        reports = []
+        for lineno, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = [part.strip() for part in line.split("|")]
+            if len(parts) not in (3, 4):
+                raise InputError(
+                    f"{args.input_file}:{lineno}: expected 'weights | degree | equation [| vars]'"
+                )
+            weights_raw, degree_raw, equation_raw = parts[0], parts[1], parts[2] or None
+            vars_raw = parts[3] if len(parts) == 4 else None
+            payload = _wps_surface(weights_raw, degree_raw, equation_raw, vars_raw)
+            inputs = {"weights": weights_raw, "degree": degree_raw,
+                      "equation": equation_raw, "vars": vars_raw}
+            reports.append(_report("wps", inputs, *payload))
         return reports
     if not args.weights or not args.degree:
         raise InputError("wps needs --weights and --degree (or --input-file)")
-    payload = _wps_surface(args.weights, args.degree, args.equation, args.vars)
-    inputs = {
-        "weights": args.weights,
-        "degree": args.degree,
-        "equation": args.equation,
-        "vars": args.vars,
-    }
-    return _report("wps", inputs, payload["result"], payload["warnings"])
+    return _wps_surface(args.weights, args.degree, args.equation, args.vars)
 
 
 # -- argument parsing ----------------------------------------------------
@@ -405,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     charts.add_argument("--weights", required=True)
     charts.add_argument("--vars")
     add_pretty(charts)
-    charts.set_defaults(handler=_run_charts)
+    charts.set_defaults(handler=_run_blowup)
 
     duval_cmd = sub.add_parser("duval", help="classify an isolated 3-fold divisor germ")
     duval_cmd.add_argument("--germ", required=True, help="polynomial germ in 3 variables")
@@ -448,17 +437,19 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        report = args.handler(args)
+        outcome = args.handler(args)
     except _INPUT_ERRORS as exc:
         print(f"elephantine: error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal invariant violation
         print(f"elephantine: internal error: {exc}", file=sys.stderr)
         return 1
-    if isinstance(report, list):
-        for entry in report:
-            _emit(entry, args.pretty)
+    if isinstance(outcome, list):  # a wps batch: one report per line
+        reports = outcome
     else:
+        inputs = {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
+        reports = [_report(args.subcommand, inputs, *outcome)]
+    for report in reports:
         _emit(report, args.pretty)
     return 0
 

@@ -16,7 +16,7 @@ import operator
 from bisect import bisect_left
 from fractions import Fraction
 from math import lcm, prod
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 Monomial = tuple[int, ...]
 
@@ -465,16 +465,6 @@ def assign(f: Poly, values: Mapping[int, int | Fraction]) -> Poly:
         key = tuple(mono[i] for i in keep)
         out[key] = out.get(key, Fraction(0)) + c
     return Poly(new_vars, out)
-
-
-def restrict_support(f: Poly, keep_positions: Iterable[int]) -> Poly:
-    """Keep only terms whose support lies inside the given positions."""
-    keep = set(keep_positions)
-    out = {}
-    for mono, coeff in f.terms.items():
-        if all(e == 0 or i in keep for i, e in enumerate(mono)):
-            out[mono] = coeff
-    return Poly(f.vars, out)
 
 
 # -- rendering ---------------------------------------------------------

@@ -6,7 +6,10 @@ is decidable by exact univariate algebra: the coordinate points and the
 one-dimensional coordinate strata.  Points found there are reported with
 their stabilizer data and, at quasi-smooth points, the normalized transverse
 quotient type.  Deeper strata are not searched; that limitation is part of
-the report.
+the report.  Each coordinate line is read off f once: one pass over its
+terms gives the line forms, f and every partial restricted to the line as
+univariate coefficient lists on the chart x_i = 1, and the stratum report
+works on those lists alone.
 
 Anticanonical data (degree, monomial basis of sections, and the elephant
 equation when the unique section is a coordinate) also lives here, including
@@ -127,13 +130,12 @@ def _uni_squarefree(p: list[Fraction]) -> list[Fraction]:
     return _uni_monic(_uni_exact_div(p, _uni_gcd(p, _uni_derivative(p))))
 
 
-def _uni_strip_origin(p: list[Fraction]) -> tuple[int, list[Fraction]]:
-    """Split off the t^k factor: returns (valuation, cofactor)."""
-    val = 0
-    while p and p[0] == 0:
-        p = p[1:]
-        val += 1
-    return val, p
+def _uni_strip_origin(p: list[Fraction]) -> list[Fraction]:
+    """The cofactor of the largest t^k factor."""
+    k = 0
+    while k < len(p) and p[k] == 0:
+        k += 1
+    return p[k:]
 
 
 def _uni_exact_div(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
@@ -148,26 +150,34 @@ def _uni_render(p: list[Fraction], name: str) -> str:
     return P.render(Poly((name,), terms))
 
 
-def _dehomogenize(form: Poly, i: int, j: int) -> list[Fraction]:
-    """Binary form supported on positions i, j as a univariate in x_j at x_i = 1."""
-    coeffs: dict[int, Fraction] = {}
-    for mono, coeff in form.terms.items():
-        coeffs[mono[j]] = coeffs.get(mono[j], Fraction(0)) + coeff
-    if not coeffs:
-        return []
-    out = [Fraction(0)] * (max(coeffs) + 1)
-    for k, c in coeffs.items():
-        out[k] = c
-    return _uni_trim(out)
+def _line_forms(f: Poly, i: int, j: int) -> tuple[list[list[Fraction]], list[bool]]:
+    """f, d/dx_0 f, ..., d/dx_{n-1} f on the line {x_k = 0, k not in {i, j}}.
 
-
-def _value_at_vertex(form: Poly, j: int) -> Fraction:
-    """Value of a stratum-supported form at the x_j coordinate point."""
-    total = Fraction(0)
-    for mono, coeff in form.terms.items():
-        if all(e == 0 for k, e in enumerate(mono) if k != j):
-            total += coeff
-    return total
+    One pass over the terms that survive there: those in x_i and x_j alone,
+    and those linear in one further x_k (they survive only in d/dx_k f).
+    Each form comes back as its coefficient list in x_j at x_i = 1 (empty
+    when it vanishes on the line), with a flag saying whether it is nonzero
+    at the x_j vertex.  The forms are weighted-homogeneous, so the exponent
+    of x_j fixes the term.
+    """
+    coeffs: list[dict[int, Fraction]] = [{} for _ in range(f.arity + 1)]
+    at_vertex = [False] * (f.arity + 1)
+    for mono, c in f.terms.items():
+        a, b = mono[i], mono[j]
+        off = [k for k, e in enumerate(mono) if e and k != i and k != j]
+        if not off:
+            # (form, x_j exponent, coefficient, x_i exponent) in f, d/dx_i f, d/dx_j f
+            images = ((0, b, c, a), (i + 1, b, a * c, a - 1), (j + 1, b - 1, b * c, a))
+        elif len(off) == 1 and mono[off[0]] == 1:
+            images = ((off[0] + 1, b, c, a),)
+        else:
+            continue
+        for form, power, coeff, x_i_power in images:
+            if coeff:
+                coeffs[form][power] = coeff
+                at_vertex[form] |= x_i_power == 0
+    forms = [[terms.get(k, Fraction(0)) for k in range(max(terms, default=-1) + 1)] for terms in coeffs]
+    return forms, at_vertex
 
 
 # -- vertex reports ------------------------------------------------------
@@ -284,9 +294,10 @@ class StratumReport:
 def stratum_report(surface: WpsHypersurface, i: int, j: int) -> StratumReport:
     """Inventory for the one-dimensional stratum {x_k = 0 for k not in {i, j}}.
 
-    The equation and all partials restrict to binary forms; their common
+    One read of f gives the line forms: the equation and every partial on
+    the line, as univariate lists in x_j on the chart x_i = 1.  Their common
     zeros off the vertices are counted exactly (squarefree degree) and then
-    identified under the residual mu_{w_i} action on the chart x_i = 1, whose
+    identified under the residual mu_{w_i} action on that chart, whose
     effective order is w_i / gcd(w_i, w_j).  Points where every partial
     vanishes are non-quasi-smooth; the rest, when the stabilizer is
     nontrivial, are quotient points whose transverse type eliminates the
@@ -297,17 +308,13 @@ def stratum_report(surface: WpsHypersurface, i: int, j: int) -> StratumReport:
     if i > j:
         i, j = j, i
     f = surface.equation
-    n = f.arity
     wi, wj = surface.weights[i], surface.weights[j]
     stab = gcd(wi, wj)
     residual_order = wi // stab
 
-    f_str = P.restrict_support(f, (i, j))
-    partial_strs = [P.restrict_support(p, (i, j)) for p in P.partials(f)]
-    contained = f_str.is_zero()
-    system = [f_str] if not contained else []
-    system += partial_strs
-    system = [p for p in system if not p.is_zero()]
+    forms, at_vertex = _line_forms(f, i, j)
+    system = [form for form in forms if form]
+    contained = not forms[0]
     if not system:
         return StratumReport(
             pair=(i, j),
@@ -321,17 +328,16 @@ def stratum_report(surface: WpsHypersurface, i: int, j: int) -> StratumReport:
         )
 
     # distinct nonzero common zeros of the singular system, in the x_i = 1 chart
-    dehoms = [_dehomogenize(p, i, j) for p in system]
-    sing = dehoms[0]
-    for d in dehoms[1:]:
-        sing = _uni_gcd(sing, d)
-    _, sing = _uni_strip_origin(sing)
+    sing = system[0]
+    for form in system[1:]:
+        sing = _uni_gcd(sing, form)
+    sing = _uni_strip_origin(sing)
     sing = _uni_squarefree(sing) if sing else sing
 
     vertex_flags = []
-    if all(d[0] == 0 for d in dehoms):
+    if all(form[0] == 0 for form in system):
         vertex_flags.append(f.vars[i])
-    if all(_value_at_vertex(p, j) == 0 for p in system):
+    if not any(at_vertex):
         vertex_flags.append(f.vars[j])
 
     batches: list[StratumPointBatch] = []
@@ -348,13 +354,12 @@ def stratum_report(surface: WpsHypersurface, i: int, j: int) -> StratumReport:
 
     quotient_curve = contained and stab > 1
     if not contained and stab > 1:
-        roots = _dehomogenize(f_str, i, j)
-        _, roots = _uni_strip_origin(roots)
+        roots = _uni_strip_origin(forms[0])
         roots = _uni_squarefree(roots) if roots else roots
         if sing and _uni_deg(sing) >= 1:
             roots = _uni_exact_div(roots, _uni_gcd(roots, sing)) if roots else roots
         batches.extend(
-            _quotient_batches(surface, i, j, roots, partial_strs, stab, residual_order)
+            _quotient_batches(surface, i, j, roots, forms[1:], stab, residual_order)
         )
 
     return StratumReport(
@@ -383,7 +388,7 @@ def _quotient_batches(
     i: int,
     j: int,
     roots: list[Fraction],
-    partial_strs: list[Poly],
+    partials: list[list[Fraction]],
     stab: int,
     residual_order: int,
 ):
@@ -391,10 +396,9 @@ def _quotient_batches(
     f = surface.equation
     n = f.arity
     remaining = roots
-    for k in range(n):
+    for k, pk in enumerate(partials):
         if not remaining or _uni_deg(remaining) < 1:
             break
-        pk = _dehomogenize(partial_strs[k], i, j) if not partial_strs[k].is_zero() else []
         if not pk:
             continue
         shared = _uni_gcd(remaining, pk)

@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
 from elephantine import __version__, cli
 
 
@@ -82,6 +84,19 @@ def test_duval_split_branches_output_is_byte_identical():
         code, out, err = run_cli(["duval", "--germ", germ])
         assert code == 0, err
         assert out == line
+
+
+def test_every_subcommand_output_is_byte_identical():
+    # complete stdout per call, so the report envelope (command, echo of
+    # the inputs, warnings, version) is pinned byte for byte: every
+    # subcommand, a wps batch, and --pretty before and after the subcommand
+    data = Path(__file__).parent / "data"
+    cases = json.loads((data / "cli_golden.json").read_text(encoding="utf-8"))
+    assert len(cases) == 13
+    for case in cases:
+        code, out, err = run_cli([arg.replace("{data}", str(data)) for arg in case["argv"]])
+        assert code == 0, err
+        assert out == case["stdout"], case["argv"]
 
 
 def test_milnor_subcommand():
@@ -185,6 +200,32 @@ def test_wps_unreadable_input_file_is_input_error(tmp_path):
         assert code == 2
         assert out == ""
         assert str(path) in err and "internal error" not in err
+
+
+def test_wps_input_file_not_utf8_is_input_error(tmp_path):
+    batch = tmp_path / "latin1.txt"
+    batch.write_bytes(b"\xff\n")
+    code, out, err = run_cli(["wps", "--input-file", str(batch)])
+    assert code == 2
+    assert out == ""
+    assert str(batch) in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    # the divisor's a would be read as the second coordinate of a chart labelled a
+    ["blowup", "--type", "1/2(1,1,1)", "--weights", "1/2(1,1,1)", "--vars", "a,a,b",
+     "--divisor", "a^2+b^2"],
+    # chart maps with two keys for three coordinates
+    ["charts", "--type", "1/2(1,1,1)", "--weights", "1/2(1,1,1)", "--vars", "a,a,b"],
+    ["duval", "--germ", "x^2+y^3+z^4", "--vars", "x,y,x"],
+    ["wps", "--weights", "1,1,1", "--degree", "3", "--equation", "x^3+y^3+z^3", "--vars", "x,y,x"],
+    ["wps", "--weights", "1,1,1", "--degree", "2", "--vars", "x,y,x"],
+], ids=["blowup", "charts", "duval", "wps", "wps-no-equation"])
+def test_repeated_variable_names_are_input_errors(argv):
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert "repeated" in err
 
 
 def test_unknown_subcommand_is_input_error():

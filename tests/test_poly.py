@@ -110,7 +110,6 @@ def test_assign_and_restrict_support():
     f = P.parse_poly("x^2+x*y+z^3", V3)
     assert P.assign(f, {0: 0}) == P.parse_poly("z^3", V2)
     assert P.assign(f, {0: 1}) == P.parse_poly("1+y+z^3", V2)
-    assert P.restrict_support(f, (0, 1)) == P.parse_poly("x^2+x*y", V3)
 
 
 def test_render_round_trip_random():

@@ -1,4 +1,6 @@
+import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -252,3 +254,50 @@ def test_vertex_off_hypersurface_has_no_quasi_smooth_data():
     v = wps.vertex_report(X15A, 0)  # pure power x^15
     assert not v.on_hypersurface
     assert v.quasi_smooth is None and v.quotient is None and v.local_model is None
+
+
+def _reference_line_forms(f, i, j):
+    # f and each P.partials(f) restricted to the terms supported on {i, j},
+    # dehomogenized at x_i = 1 and evaluated at the x_j vertex, one by one
+    forms, at_vertex = [], []
+    for form in [f] + P.partials(f):
+        line = {
+            mono: c for mono, c in form.terms.items()
+            if all(e == 0 or k in (i, j) for k, e in enumerate(mono))
+        }
+        coeffs = Counter()
+        for mono, c in line.items():
+            coeffs[mono[j]] += c
+        dense = [Fraction(coeffs[k]) for k in range(max(coeffs, default=-1) + 1)]
+        while dense and dense[-1] == 0:
+            dense.pop()
+        forms.append(dense)
+        vertex_terms = [c for mono, c in line.items() if all(e == 0 for k, e in enumerate(mono) if k != j)]
+        at_vertex.append(sum(vertex_terms) != 0)
+    return forms, at_vertex
+
+
+def test_line_forms_match_restricted_partials():
+    rng = random.Random(8)
+    names = ("x", "y", "z", "t", "w")
+    strata = Counter()
+    for _ in range(300):
+        n = rng.randint(3, 5)
+        weights = tuple(rng.randint(1, 6) for _ in range(n))
+        degree = rng.randint(2, 18)
+        monos = wps.monomials_of_weighted_degree(weights, degree)
+        if not monos:
+            continue
+        chosen = rng.sample(monos, min(len(monos), rng.randint(1, 6)))
+        terms = {m: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 3)) for m in chosen}
+        X = WpsHypersurface(weights, degree, P.Poly(names[:n], terms))
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    assert wps._line_forms(X.equation, i, j) == _reference_line_forms(X.equation, i, j)
+        for report in wps.analyze(X).strata:
+            strata["contained"] += report.contained
+            strata["entirely_singular"] += report.entirely_singular
+            strata["points"] += bool(report.batches)
+    # the sample reaches every kind of stratum the line forms feed
+    assert min(strata["contained"], strata["entirely_singular"], strata["points"]) >= 10, strata
