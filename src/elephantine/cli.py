@@ -15,6 +15,7 @@ internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -178,6 +179,9 @@ def _run_duval(args) -> tuple[dict, list[str]]:
 
 
 def _run_milnor(args) -> tuple[dict, list[str]]:
+    if args.cap is not None and args.cap < 3:
+        # below 3 no dimension can stabilize: every germ would read non-isolated
+        raise InputError("milnor needs --cap >= 3")
     names = _germ_vars(args)
     f = P.parse_poly(args.germ, names)
     mu = locdef.milnor_number(f, args.cap)
@@ -368,7 +372,9 @@ def _run_wps(args) -> tuple[dict, list[str]] | list[dict]:
 # -- argument parsing ----------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="elephantine",
         description="Exact weighted blow-up, Du Val, T1, and weighted-hypersurface reports",
@@ -431,9 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

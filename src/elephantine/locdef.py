@@ -47,7 +47,12 @@ class LocdefError(ValueError):
 
 
 def monomials_below(nvars: int, bound: int) -> list[Monomial]:
-    """All exponent tuples of total degree < bound, in graded-lex order."""
+    """All exponent tuples of total degree < bound, in graded-lex order.
+
+    Within one degree, combinations_with_replacement yields the index
+    multisets in lexicographic order, which is descending in (e_1, e_2, ...):
+    graded-lex order already.
+    """
     out: list[Monomial] = []
     for d in range(bound):
         for combo in itertools.combinations_with_replacement(range(nvars), d):
@@ -55,7 +60,7 @@ def monomials_below(nvars: int, bound: int) -> list[Monomial]:
             for i in combo:
                 expo[i] += 1
             out.append(tuple(expo))
-    return sorted(out, key=grlex_key)
+    return out
 
 
 class _RowSpace:
@@ -87,9 +92,6 @@ class _RowSpace:
         inv = Fraction(1) / row[lead]
         self.pivots[lead] = {m: c * inv for m, c in row.items()}
         return True
-
-    def contains(self, row: dict[Monomial, Fraction]) -> bool:
-        return not self._reduce(dict(row))
 
 
 @dataclass(frozen=True)
@@ -228,4 +230,5 @@ def in_m2_image(f: Poly, g: Poly, truncation: int | None = None) -> bool:
         raise LocdefError("germ and deformation arity mismatch")
     bound = min(n_trunc, 2)
     space = _ideal_rows(f, "jacobian", bound)
-    return space.contains(dict(P.jet(g, bound - 1).terms))
+    # insert reduces a copy of the row and adds a pivot only if one is left
+    return not space.insert(P.jet(g, bound - 1).terms)

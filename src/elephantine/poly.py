@@ -13,6 +13,7 @@ distinguished INFINITY value rather than an error.
 from __future__ import annotations
 
 import operator
+import re
 from bisect import bisect_left
 from fractions import Fraction
 from math import lcm, prod
@@ -77,7 +78,7 @@ def monomial_degree(m: Monomial) -> int:
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def grlex_key(m: Monomial):
@@ -279,17 +280,33 @@ def weighted_degrees(f: Poly, weights: Sequence[int]) -> set[int]:
     return {sum(w * e for w, e in zip(ws, m)) for m in f.terms}
 
 
-# -- exact truncated products ------------------------------------------
+def mul(a: Poly, b: Poly) -> Poly:
+    """Exact product a * b, one term of the shorter factor at a time."""
+    a._check_arity(b)
+    vars = a.vars
+    if len(a.terms) > len(b.terms):
+        a, b = b, a
+    out: dict[Monomial, Fraction] = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            m = monomial_mul(ma, mb)
+            c = ca * cb
+            out[m] = out[m] + c if m in out else c
+    return Poly._raw(vars, out)
+
+
+# -- exact truncated substitution --------------------------------------
 #
-# The product kernel works on an integer form: a list of (key, numerator)
-# pairs sorted by key, over one common denominator kept beside it.  A key
-# packs a monomial into one int: its exponents are the low base-B digits and
-# its total degree the leading digit, where B exceeds every degree that can
+# substitute works on an integer form: a list of (key, numerator) pairs
+# sorted by key, over one common denominator kept beside it.  A key packs a
+# monomial into one int: its exponents are the low base-B digits and its
+# total degree the leading digit, where B exceeds every degree that can
 # occur (the cap, when one is set).  So adding two keys multiplies the
 # monomials, keys sort by degree first, and a key sum is below
 # (cap + 1) * B^arity exactly when the product has degree <= cap.  One
 # bisection per left-hand term then bounds the right-hand terms it meets,
-# and no pair above the cap is ever multiplied.
+# and no pair above the cap is ever multiplied.  _Packing, _product and
+# _sorted_form serve substitute alone; mul multiplies term by term.
 
 Form = list[tuple[int, int]]
 
@@ -362,25 +379,6 @@ def _product(a: Form, b: Form, limit: int | None,
 
 def _sorted_form(acc: dict[int, int]) -> Form:
     return sorted(kv for kv in acc.items() if kv[1])
-
-
-def mul(a: Poly, b: Poly) -> Poly:
-    """Exact product a * b, summed in integers over one common denominator."""
-    a._check_arity(b)
-    vars = a.vars
-    if len(a.terms) > len(b.terms):
-        a, b = b, a
-    if not a.terms:
-        return Poly._raw(vars, {})
-    if len(a.terms) == 1:
-        # a single term: a shift plus a scale of the other factor, which
-        # keeps the term-by-term products of parse_poly cheap
-        ((ma, ca),) = a.terms.items()
-        return Poly._raw(vars, {monomial_mul(ma, mb): ca * cb for mb, cb in b.terms.items()})
-    code = _Packing(a.arity, degree(a) + degree(b), None)
-    form_a, den_a = code.pack(a)
-    form_b, den_b = code.pack(b)
-    return code.unpack(_product(form_a, form_b, None), den_a * den_b, vars)
 
 
 def substitute(f: Poly, images: Sequence[Poly], cap: int | None = None) -> Poly:
@@ -504,83 +502,71 @@ def render(f: Poly) -> str:
 # term     := factor ('*'? factor)*
 # factor   := base ('^' nat)?
 # base     := rational | ident | '(' expr ')'
-# rational := nat ('/' nat)?
+# rational := '-'? nat ('/' nat)?
 #
-# Whitespace is insignificant; juxtaposed factors multiply implicitly.
+# A nat is a run of decimal digits, an ident a run of letters, digits and
+# '_' that starts with no decimal digit.  Whitespace is insignificant;
+# juxtaposed factors multiply implicitly.  The sign of a rational is reachable only where a
+# base is required (after '*', '+' or '-'), never via juxtaposition.
+
+# a token's kind is "nat", "ident" or the character itself
+_TOKEN = re.compile(r"(?P<nat>\d+)|(?P<ident>[^\W\d]\w*)|\S")
 
 
 class _Parser:
     def __init__(self, text: str, vars: Sequence[str]):
-        self.text = text
-        self.pos = 0
+        # (kind, text, position) per token, and an end marker of kind ""
+        self.tokens = [(m.lastgroup or m.group(), m.group(), m.start())
+                       for m in _TOKEN.finditer(text)]
+        self.tokens.append(("", "", len(text)))
+        self.at = 0
         self.vars = tuple(vars)
         self.index = {name: i for i, name in enumerate(self.vars)}
 
+    def kind(self) -> str:
+        return self.tokens[self.at][0]
+
     def error(self, message: str) -> PolyParseError:
-        return PolyParseError(message, self.pos)
+        return PolyParseError(message, self.tokens[self.at][2])
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
+    def take(self, kind: str) -> bool:
+        if self.kind() == kind:
+            self.at += 1
             return True
         return False
 
     def nat(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
+        kind, digits, _ = self.tokens[self.at]
+        if kind != "nat":
             raise self.error("expected a number")
-        return int(self.text[start:self.pos])
-
-    def ident(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and (self.text[self.pos].isalpha() or self.text[self.pos] == "_"):
-            self.pos += 1
-            while self.pos < len(self.text) and (self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
-                self.pos += 1
-        if self.pos == start:
-            raise self.error("expected an identifier")
-        return self.text[start:self.pos]
-
-    def starts_base(self) -> bool:
-        ch = self.peek()
-        return bool(ch) and (ch.isdigit() or ch.isalpha() or ch in "(_")
+        self.at += 1
+        return int(digits)
 
     def parse_expr(self) -> Poly:
+        terms: dict[Monomial, Fraction] = {}
         sign = 1
-        if self.take("+"):
-            pass
-        elif self.take("-"):
+        if not self.take("+") and self.take("-"):
             sign = -1
-        result = self.parse_term() * sign
         while True:
+            for mono, coeff in self.parse_term().terms.items():
+                coeff = coeff if sign > 0 else -coeff
+                total = terms[mono] + coeff if mono in terms else coeff
+                if total:
+                    terms[mono] = total
+                else:
+                    del terms[mono]
             if self.take("+"):
-                result = result + self.parse_term()
+                sign = 1
             elif self.take("-"):
-                result = result - self.parse_term()
+                sign = -1
             else:
-                return result
+                return Poly._raw(self.vars, terms)
 
     def parse_term(self) -> Poly:
         result = self.parse_factor()
-        while True:
-            if self.take("*"):
-                result = result * self.parse_factor()
-            elif self.starts_base():
-                result = result * self.parse_factor()
-            else:
-                return result
+        while self.take("*") or self.kind() in ("nat", "ident", "("):
+            result = result * self.parse_factor()
+        return result
 
     def parse_factor(self) -> Poly:
         base = self.parse_base()
@@ -589,62 +575,45 @@ class _Parser:
         return base
 
     def parse_base(self) -> Poly:
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
+        if self.take("("):
             inner = self.parse_expr()
             if not self.take(")"):
                 raise self.error("expected ')'")
             return inner
-        sign = 1
-        if ch == "-":
-            # signed integer literal, reachable only where a base is required
-            # (after '*' or inside parentheses), never via juxtaposition
-            self.pos += 1
-            sign = -1
-            ch = self.peek()
-            if not ch.isdigit():
-                raise self.error("expected a number after '-'")
-        if ch.isdigit():
-            num = self.nat()
-            if self.take("/"):
-                den = self.nat()
-                if den == 0:
-                    raise self.error("zero denominator")
-                return Poly.constant(self.vars, Fraction(sign * num, den))
-            return Poly.constant(self.vars, sign * num)
-        if ch.isalpha() or ch == "_":
-            name = self.ident()
+        kind, name, position = self.tokens[self.at]
+        if kind == "ident":
             if name not in self.index:
-                raise PolyParseError(f"unknown variable {name!r}", self.pos - len(name))
+                raise PolyParseError(f"unknown variable {name!r}", position)
+            self.at += 1
             return Poly.variable(self.vars, self.index[name])
-        raise self.error("expected a number, variable, or '('")
+        sign = 1
+        if self.take("-"):
+            sign = -1
+            if self.kind() != "nat":
+                raise self.error("expected a number after '-'")
+        elif kind != "nat":
+            raise self.error("expected a number, variable, or '('")
+        num = self.nat()
+        if self.take("/"):
+            _, digits, position = self.tokens[self.at]
+            den = self.nat()
+            if den == 0:
+                raise PolyParseError("zero denominator", position + len(digits))
+            return Poly.constant(self.vars, Fraction(sign * num, den))
+        return Poly.constant(self.vars, sign * num)
 
 
 def parse_poly(text: str, vars: Sequence[str]) -> Poly:
     """Parse polynomial text over the given variables into canonical form."""
     parser = _Parser(text, vars)
     result = parser.parse_expr()
-    parser.skip_ws()
-    if parser.pos != len(text):
+    if parser.kind():
         raise parser.error("trailing input")
     return result
 
 
 def identifiers_in(text: str) -> list[str]:
     """Identifiers in order of first appearance (for CLI variable inference)."""
-    seen: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isalpha() or ch == "_":
-            start = i
-            i += 1
-            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            name = text[start:i]
-            if name not in seen:
-                seen.append(name)
-        else:
-            i += 1
-    return seen
+    return list(dict.fromkeys(
+        m.group() for m in _TOKEN.finditer(text) if m.lastgroup == "ident"
+    ))

@@ -93,7 +93,12 @@ def test_every_subcommand_output_is_byte_identical():
     data = Path(__file__).parent / "data"
     cases = json.loads((data / "cli_golden.json").read_text(encoding="utf-8"))
     assert len(cases) == 13
-    for case in cases:
+    # the argument parser is built once per process: a rejected argv before
+    # each case must leave it as it was
+    rejected = (["frobnicate"], ["duval"], ["milnor", "--germ", "x^2", "--cap", "many"])
+    for k, case in enumerate(cases):
+        code, out, _ = run_cli(rejected[k % len(rejected)])
+        assert code == 2 and out == ""
         code, out, err = run_cli([arg.replace("{data}", str(data)) for arg in case["argv"]])
         assert code == 0, err
         assert out == case["stdout"], case["argv"]
@@ -192,6 +197,27 @@ def test_duval_truncation_below_two_is_input_error():
         assert code == 2
         assert out == ""
         assert err.strip() and "internal error" not in err
+
+
+def test_milnor_cap_below_three_is_input_error():
+    # below 3 the stabilization can never decide, so an A1 germ would be
+    # reported as non-isolated
+    for cap in ("2", "0", "-5"):
+        code, out, err = run_cli(["milnor", "--germ", "x^2+y^2+z^2", "--cap", cap])
+        assert code == 2
+        assert out == ""
+        assert "--cap" in err and "internal error" not in err
+    report = run_json(["milnor", "--germ", "x^2+y^2+z^2", "--cap", "3"])
+    assert report["result"]["milnor_number"] == 1
+    assert report["result"]["isolated"]
+
+
+def test_parse_error_on_a_non_decimal_digit_is_input_error():
+    # '²' passes str.isdigit() but is not a decimal digit
+    code, out, err = run_cli(["milnor", "--germ", "x^²"])
+    assert code == 2
+    assert out == ""
+    assert "expected a number" in err and "internal error" not in err
 
 
 def test_wps_unreadable_input_file_is_input_error(tmp_path):

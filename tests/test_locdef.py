@@ -5,7 +5,7 @@ import pytest
 
 from elephantine import cyclo, locdef, poly as P
 from elephantine.cyclo import QuotientType
-from elephantine.poly import Poly
+from elephantine.poly import Poly, grlex_key
 
 from _support import mono_str, random_poly, random_quotient_type, random_semi_invariant, random_unimodular_yz
 
@@ -247,6 +247,11 @@ def test_monomials_below_order():
     assert monos[:4] == [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert len(monos) == 10  # C(2,2)+C(3,2)+C(4,2) = 1+3+6
     assert len(set(monos)) == 10
+    # the generation order is graded-lex order without a sort
+    for nvars in range(1, 6):
+        for bound in range(10):
+            monos = locdef.monomials_below(nvars, bound)
+            assert monos == sorted(monos, key=grlex_key)
 
 
 def test_quotient_dim_is_reproducible():

@@ -1,4 +1,6 @@
 import random
+import re
+import string
 from fractions import Fraction
 
 import pytest
@@ -47,6 +49,103 @@ def test_parse_reports_position_on_syntax_error():
     with pytest.raises(PolyParseError) as err:
         P.parse_poly("x^2+*y", V3)
     assert "position" in str(err.value)
+
+
+# (text, message, position) over x, y, z, as reported before the parser
+# was rebuilt on one token pattern
+MALFORMED = [
+    ("", "expected a number, variable, or '('", 0),
+    ("   ", "expected a number, variable, or '('", 3),
+    ("x^", "expected a number", 2),
+    ("x ^\t", "expected a number", 4),
+    ("x^y", "expected a number", 2),
+    ("2 ^ -1", "expected a number", 4),
+    ("4x^3y^", "expected a number", 6),
+    ("1/", "expected a number", 2),
+    ("1/x", "expected a number", 2),
+    ("1/0", "zero denominator", 3),
+    ("3/00 + x", "zero denominator", 4),
+    ("(x+y", "expected ')'", 4),
+    ("(x+y  ", "expected ')'", 6),
+    ("x*(y", "expected ')'", 4),
+    ("x* - y", "expected a number after '-'", 5),
+    ("--x", "expected a number after '-'", 2),
+    ("x - -", "expected a number after '-'", 5),
+    ("x y w", "unknown variable 'w'", 4),
+    ("x_1", "unknown variable 'x_1'", 0),
+    ("x^2+*y", "expected a number, variable, or '('", 4),
+    ("()", "expected a number, variable, or '('", 1),
+    ("*x", "expected a number, variable, or '('", 0),
+    ("x^2^3", "trailing input", 3),
+    ("x/2", "trailing input", 1),
+    ("1/2/3", "trailing input", 3),
+    ("(x))", "trailing input", 3),
+    ("x $ y", "trailing input", 2),
+]
+
+
+def test_parse_errors_keep_message_and_position():
+    for text, message, position in MALFORMED:
+        with pytest.raises(PolyParseError) as err:
+            P.parse_poly(text, V3)
+        assert str(err.value) == f"{message} (at position {position})", text
+        assert err.value.position == position, text
+
+
+def test_parse_returns_a_poly_or_raises_a_parse_error():
+    # '²' and '½' pass str.isdigit() or str.isnumeric() but are no decimal
+    # digits; '٣' is one (Arabic-Indic three)
+    alphabet = string.ascii_letters + string.digits + "+-*/^()" + " \t\n" + "²½٣"
+    rng = random.Random(61)
+    texts = ["x^²", "²", "2²", "x+½", "½x", "٣x^٣", "1/٣"]
+    while len(texts) < 3000:
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+        if not re.search(r"\^\s*\d\d", text):  # no power is too dear to expand
+            texts.append(text)
+    for text in texts:
+        try:
+            assert isinstance(P.parse_poly(text, V3), Poly)
+        except PolyParseError:
+            pass
+
+
+NAMES = ("x", "y2", "_t", "zz_1", "α")
+
+
+def grammar_text(rng, depth=0):
+    """A random text of the polynomial grammar; factors never run together."""
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        factors = []
+        for _ in range(rng.randint(1, 3)):
+            shape = rng.random()
+            if shape < 0.5:
+                base = rng.choice(NAMES)
+            elif shape < 0.8 or depth == 2:
+                base = str(rng.randint(0, 20))
+                if rng.random() < 0.3:
+                    base += f"/{rng.randint(1, 9)}"
+            else:
+                base = f"({grammar_text(rng, depth + 1)})"
+            if rng.random() < 0.3:
+                base += f"^{rng.randint(0, 3)}"
+            factors.append(base)
+        terms.append(rng.choice(["*", " * ", " "]).join(factors))
+    text = rng.choice(["", "-", "+ "]) + terms[0]
+    for term in terms[1:]:
+        text += rng.choice(["+", " - ", "-"]) + term
+    return text
+
+
+def test_identifiers_in_names_every_variable_the_parser_reads():
+    rng = random.Random(67)
+    for _ in range(400):
+        text = grammar_text(rng)
+        names = P.identifiers_in(text)
+        if not names:
+            continue  # a constant: parse_poly needs a context of its own
+        assert set(names) <= set(NAMES), text
+        assert isinstance(P.parse_poly(text, names), Poly), text
 
 
 def test_parse_rejects_unknown_variable():
