@@ -536,11 +536,15 @@ class _Parser:
         return False
 
     def nat(self) -> int:
-        kind, digits, _ = self.tokens[self.at]
+        kind, digits, position = self.tokens[self.at]
         if kind != "nat":
             raise self.error("expected a number")
+        try:
+            value = int(digits)
+        except ValueError as exc:  # beyond sys.get_int_max_str_digits()
+            raise PolyParseError(f"number of {len(digits)} digits is too long", position) from exc
         self.at += 1
-        return int(digits)
+        return value
 
     def parse_expr(self) -> Poly:
         terms: dict[Monomial, Fraction] = {}

@@ -220,6 +220,29 @@ def test_parse_error_on_a_non_decimal_digit_is_input_error():
     assert "expected a number" in err and "internal error" not in err
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this Python reads integer literals of any length")
+def test_overlong_literal_is_input_error():
+    digits = sys.get_int_max_str_digits() + 1
+    code, out, err = run_cli(["milnor", "--germ", "x^2+" + "1" * digits + "*y^2+z^2"])
+    assert code == 2
+    assert out == ""
+    assert f"number of {digits} digits is too long (at position 4)" in err
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["duval", "--germ", "x^2+y^2+z^2"], "abc"),
+    (["t1", "--germ", "x^3+y^3+z^3", "--type", "1/2(1,1,1)"], "1"),
+])
+def test_bad_truncation_env_var_is_input_error(monkeypatch, argv, value):
+    monkeypatch.setenv("ELEPHANTINE_TRUNCATION", value)
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert "ELEPHANTINE_TRUNCATION" in err and "internal error" not in err
+
+
 def test_wps_unreadable_input_file_is_input_error(tmp_path):
     for path in (tmp_path / "absent.txt", tmp_path):  # missing, and a directory
         code, out, err = run_cli(["wps", "--input-file", str(path)])

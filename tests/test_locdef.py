@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -261,3 +262,126 @@ def test_quotient_dim_is_reproducible():
     assert first.basis == second.basis
     assert first.dimension == second.dimension
     assert all(sum(m) < 9 for m in first.basis)
+
+
+class _FractionRowSpace:
+    """Reference echelon over Q on exponent tuples, pivoting on grlex_key."""
+
+    def __init__(self):
+        self.pivots = {}
+
+    def insert(self, row):
+        row = dict(row)
+        while row:
+            lead = min(row, key=grlex_key)
+            pivot = self.pivots.get(lead)
+            if pivot is None:
+                inv = 1 / row[lead]
+                self.pivots[lead] = {m: c * inv for m, c in row.items()}
+                return True
+            factor = row[lead]
+            for mono, coeff in pivot.items():
+                value = row.get(mono, Fraction(0)) - factor * coeff
+                if value:
+                    row[mono] = value
+                else:
+                    row.pop(mono, None)
+        return False
+
+
+def _reference_rows(f, ideal_tag, bound):
+    gens = P.partials(f) + ([f] if ideal_tag == "tjurina" else [])
+    space = _FractionRowSpace()
+    for gen in gens:
+        if gen.is_zero():
+            continue
+        for mono in locdef.monomials_below(f.arity, bound - P.order(gen)):
+            row = {}
+            for gm, gc in gen.terms.items():
+                key = P.monomial_mul(mono, gm)
+                if sum(key) < bound:
+                    row[key] = row.get(key, Fraction(0)) + gc
+            if row:
+                space.insert(row)
+    return space
+
+
+def _reference_basis(f, ideal_tag, bound):
+    pivots = _reference_rows(f, ideal_tag, bound).pivots
+    return tuple(m for m in locdef.monomials_below(f.arity, bound) if m not in pivots)
+
+
+def _reference_in_m2_image(f, g, truncation):
+    bound = min(truncation, 2)
+    return not _reference_rows(f, "jacobian", bound).insert(P.jet(g, bound - 1).terms)
+
+
+def _differential_germs(nvars):
+    # non-isolated, isolated, and dense ones with six-digit numerators over
+    # two-digit denominators; dense three-variable germs with more terms
+    # cost the Fraction reference tens of seconds
+    texts = {
+        2: ["x^2*y", "x^2*y+x^2*y^3", "x*y", "x^3+y^7", "5*x^5-3/7*x^2*y^3+22/9*x*y^4",
+            "-101483/3*x^2*y-264273/26*x*y^2+518149/9*y^3+89188/43*x^2-325853/8*y^2",
+            "335585/43*x^2*y^2-737748/13*x*y^3+50733/23*y^4"],
+        3: ["x^2+y^2*z", "x*y*z", "x^2+y^3+z^5",
+            "6/5*y^3*z-x*y*z-7/3*x*z^2-3/2*x*z",
+            "318311/9*z^4+765184/67*y*z^2+335585/43*x^2+182623/23*y^2"],
+    }[nvars]
+    vars = V3[:nvars]
+    germs = [P.parse_poly(text, vars) for text in texts]
+    rng = random.Random(131 + nvars)
+    while len(germs) < len(texts) + 3:
+        f = random_poly(rng, vars, max_terms=4, max_degree=5, nonzero=True)
+        f = f - P.jet(f, 1)
+        if not f.is_zero():
+            germs.append(f)
+    return germs
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_quotient_dim_matches_fraction_reference(nvars):
+    for f in _differential_germs(nvars):
+        for ideal_tag in ("jacobian", "tjurina"):
+            for n_trunc in range(2, 14):
+                expected = _reference_basis(f, ideal_tag, n_trunc)
+                got = locdef.quotient_dim(f, ideal_tag, n_trunc)
+                assert got.basis == expected, (P.render(f), ideal_tag, n_trunc)
+                assert got.dimension == len(expected)
+
+
+def test_in_m2_image_matches_fraction_reference():
+    rng = random.Random(137)
+    answers = set()
+    for i in range(80):
+        vars = V3[:2 + i % 2]
+        f = random_poly(rng, vars, max_terms=5, max_degree=3, nonzero=True, max_denominator=9)
+        g = random_poly(rng, vars, max_terms=4, max_degree=3, nonzero=True, max_denominator=9)
+        for n_trunc in (1, 2, 3):
+            expected = _reference_in_m2_image(f, g, n_trunc)
+            assert locdef.in_m2_image(f, g, n_trunc) == expected, (P.render(f), P.render(g))
+            answers.add(expected)
+    assert answers == {True, False}
+
+
+@pytest.mark.parametrize("nvars", range(1, 5))
+def test_grlex_keys(nvars):
+    rng = random.Random(139 + nvars)
+    for bound in range(1, 11):
+        grlex = locdef._grlex(nvars, bound)
+        below = locdef.monomials_below(nvars, bound)
+        # the integer order is grlex below degree N, and keys decode back
+        shuffled = rng.sample(below, len(below))
+        assert sorted(shuffled, key=grlex.key) == sorted(shuffled, key=grlex_key)
+        assert grlex.keys == tuple(map(grlex.key, below))
+        assert [grlex.monomial(k) for k in grlex.keys] == below
+        # every monomial up to 3N in degree, pure powers far beyond it, and
+        # monomials with one exponent above the base
+        monos = locdef.monomials_below(nvars, min(3 * bound, 12))
+        monos += [tuple(e if i == j else 0 for j in range(nvars))
+                  for i in range(nvars) for e in range(30, 33)]
+        monos += [tuple(rng.randint(0, 4 * bound) for _ in range(nvars)) for _ in range(40)]
+        for m in monos:
+            assert (grlex.key(m) <= grlex.top) == (sum(m) < bound), (m, bound)
+        for a, b in itertools.islice(itertools.product(rng.sample(monos, 30), repeat=2), 300):
+            assert grlex.key(P.monomial_mul(a, b)) == grlex.key(a) + grlex.key(b)
