@@ -2,11 +2,14 @@
 
 A germ of order >= 3 immediately yields the origin blow-up with discrepancy
 2 - mult <= -1.  A germ of order 2 is split as x^2 + g(y, z) by truncated
-shears, and g is then run through the jet case tree: order 2 gives type A,
-a 3-jet with two distinct factors gives type D, a perfect-cube 3-jet is
-normalized to y^3 and the 4- and 5-jet coefficients decide E6/E7/E8 or,
-failing all of those, the (3, 2, 1) weighted blow-up with discrepancy -1.
-A and D indices come from the Milnor-number oracle; every Du Val verdict is
+shears, all of which run on one packed integer form of the jet (packed
+once, unpacked once); a germ that is exactly c*x^2 after linear steps is
+singular along a surface.  g is then run through the jet case tree: order
+2 gives type A, a 3-jet with two distinct factors gives type D, a
+perfect-cube 3-jet is normalized to y^3 and the 4- and 5-jet coefficients,
+after two more shears on the packed form, decide E6/E7/E8 or, failing all
+of those, the (3, 2, 1) weighted blow-up with discrepancy -1.  A and D
+indices come from the Milnor-number oracle; every Du Val verdict is
 cross-checked against it.  The oracle runs on g itself: the Jacobian ideal
 of x^2 + g contains x, so O_3/(J + m^N) and O_2/(J_g + m^N) are isomorphic
 for every N and mu(x^2 + g) = mu(g) (Sebastiani-Thom).
@@ -14,8 +17,11 @@ for every N and mu(x^2 + g) = mu(g) (Sebastiani-Thom).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from typing import Iterable
 
 from . import locdef
 from . import poly as P
@@ -30,7 +36,7 @@ class DuvalError(ValueError):
 
 
 class NonIsolatedGermError(DuvalError):
-    """The Milnor oracle failed to stabilize: non-isolated critical point."""
+    """A non-isolated critical point: proven, or the Milnor oracle failed to stabilize."""
 
 
 class TruncationError(DuvalError):
@@ -81,32 +87,63 @@ def _identity_images(vars: tuple[str, ...]) -> list[Poly]:
     return [Poly.variable(vars, i) for i in range(len(vars))]
 
 
-def _shear(
-    f: Poly, i: int, k: int, lead: Fraction, degree: int, cap: int, steps: list[Step]
+def _shears(
+    f: Poly, i: int, k: int, lead: Fraction, degrees: Iterable[int], cap: int,
+    steps: list[Step],
 ) -> Poly:
-    """One shear of f against its term lead * v^k, v the variable i.
+    """Shear f against its term lead * v^k, v the variable i, once per degree.
 
-    s is the sum of the degree-`degree` terms divisible by v^(k-1), other
-    than v^k, divided by k * lead * v^(k-1); the substitution v -> v - s
-    cancels those terms, changes none of lower degree, and is recorded in
-    steps.
+    At each degree d in turn, s is the sum of the degree-d terms divisible by
+    v^(k-1), other than v^k, divided by k * lead * v^(k-1); the substitution
+    v -> v - s cancels those terms, changes none of lower degree, and is
+    recorded in steps.  f is packed once into poly's integer form F / D,
+    truncated at cap, and unpacked once at the end.  With s = S * q / p in
+    lowest terms, v - s = L / p for the integer form L = p * v - q * S, so
+    writing F = sum_a F_a * v^a gives the image sum_a F_a * L^a * p^(A - a)
+    over D * p^A; dividing by the content keeps D the lcm of the reduced
+    denominators, as pack builds it.
     """
-    pure = tuple(k if j == i else 0 for j in range(f.arity))
-    targets = {
-        m: coeff
-        for m, coeff in f.terms.items()
-        if sum(m) == degree and m[i] >= k - 1 and m != pure
-    }
-    if not targets:
-        return f
-    shear = Poly(f.vars, {
-        tuple(e - (k - 1) if j == i else e for j, e in enumerate(m)): coeff / (k * lead)
-        for m, coeff in targets.items()
-    })
-    images = _identity_images(f.vars)
-    images[i] = images[i] - shear
-    steps.append(tuple(images))
-    return P.substitute(f, images, cap=cap)
+    code = P._Packing(f.arity, cap + 1, cap)  # products pass the cap: truncate there
+    form, den = code.pack(f)
+    base, place, unit, limit = code.base, code.places[i], code.lead, code.limit
+    v = place + unit  # the key of v; adding it multiplies by v
+    pure = k * v
+    shift = (k - 1) * v
+    for degree in degrees:
+        # form is sorted by key, and the keys of degree d lie in [d, d + 1) * unit
+        targets = [
+            (key - shift, c)
+            for key, c in form[bisect_left(form, (degree * unit,)):
+                               bisect_left(form, ((degree + 1) * unit,))]
+            if (key // place) % base >= k - 1 and key != pure
+        ]
+        if not targets:
+            continue
+        t = 1 / (k * lead * den)
+        q, p = t.numerator, t.denominator
+        v_image = P._sorted_form({v: p, **{key: -q * c for key, c in targets}})  # L
+        images = _identity_images(f.vars)
+        images[i] = code.unpack(v_image, p, f.vars)
+        steps.append(tuple(images))
+        # F_a with v^a taken out of its keys; form is sorted, so each F_a is too
+        by_power: dict[int, list[tuple[int, int]]] = {}
+        for key, c in form:
+            a = (key // place) % base
+            by_power.setdefault(a, []).append((key - a * v, c))
+        top = max(by_power)
+        powers = [[(0, 1)], v_image]
+        acc: dict[int, int] = {}
+        for a, part in by_power.items():
+            while len(powers) <= a:
+                powers.append(P._sorted_form(P._product(powers[-1], v_image, limit)))
+            P._product(part, powers[a], limit, acc, p ** (top - a))
+        form = P._sorted_form(acc)
+        den *= p ** top
+        content = gcd(den, *(c for _, c in form))
+        if content > 1:
+            form = [(key, c // content) for key, c in form]
+            den //= content
+    return code.unpack(form, den, f.vars)
 
 
 def perfect_cube_root(cubic: Poly) -> Poly | None:
@@ -176,8 +213,7 @@ def truncated_split(f: Poly, truncation: int | None = None) -> tuple[Poly, tuple
     c = current.coefficient(_square(0))
     if c == 0:
         raise InvariantError("linear normalization left no x^2 term")
-    for degree_stage in range(2, n_trunc + 1):
-        current = _shear(current, 0, 2, c, degree_stage, n_trunc, steps)
+    current = _shears(current, 0, 2, c, range(2, n_trunc + 1), n_trunc, steps)
 
     x_square = _square(0)
     residual_terms = {m: coeff for m, coeff in current.terms.items() if m != x_square}
@@ -261,8 +297,7 @@ def classify_double_point(g: Poly, truncation: int | None = None) -> Singularity
             raise InvariantError("cube normalization did not give a multiple of y^3")
 
         # shear away the degree-4 and degree-5 terms divisible by y^2
-        for degree_stage in (4, 5):
-            g = _shear(g, 0, 3, cube_coeff, degree_stage, n_trunc, steps)
+        g = _shears(g, 0, 3, cube_coeff, (4, 5), n_trunc, steps)
 
         # alpha z^4, beta y z^3 and gamma z^5 decide E6, E7 and E8
         if g.coefficient((0, 4)) != 0:
@@ -332,6 +367,15 @@ def classify_germ(f: Poly, truncation: int | None = None) -> SingularityReport:
         )
 
     g, split_steps, quad_coeff = truncated_split(f, n_trunc)
+    if g.is_zero() and P.degree(f) <= n_trunc and all(
+        P.degree(image) <= 1 for images in split_steps for image in images
+    ):
+        # every step was linear, so truncation dropped nothing: f is c*x^2
+        # in new coordinates, singular along the surface x = 0
+        raise NonIsolatedGermError(
+            "germ is a square after a linear change of coordinates: "
+            "singular along a surface"
+        )
     inner = classify_double_point(g, n_trunc)
     vars = f.vars
     lifted: list[Step] = list(split_steps)

@@ -17,7 +17,7 @@ import re
 from bisect import bisect_left
 from fractions import Fraction
 from math import lcm, prod
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Monomial = tuple[int, ...]
 
@@ -306,7 +306,8 @@ def mul(a: Poly, b: Poly) -> Poly:
 # (cap + 1) * B^arity exactly when the product has degree <= cap.  One
 # bisection per left-hand term then bounds the right-hand terms it meets,
 # and no pair above the cap is ever multiplied.  _Packing, _product and
-# _sorted_form serve substitute alone; mul multiplies term by term.
+# _sorted_form serve substitute and the shear kernel of duval, which keeps
+# one such form through all of its shears; mul multiplies term by term.
 
 Form = list[tuple[int, int]]
 
@@ -339,11 +340,11 @@ class _Packing:
             for m, c in terms
         ), den
 
-    def unpack(self, acc: dict[int, int], den: int, vars: tuple[str, ...]) -> Poly:
+    def unpack(self, pairs: Iterable[tuple[int, int]], den: int, vars: tuple[str, ...]) -> Poly:
         """The polynomial sum(v * monomial(key)) / den over the given context."""
         base, arity = self.base, self.arity
         terms: dict[Monomial, Fraction] = {}
-        for key, v in acc.items():
+        for key, v in pairs:
             if v:
                 mono = []
                 for _ in range(arity):
@@ -433,7 +434,7 @@ def substitute(f: Poly, images: Sequence[Poly], cap: int | None = None) -> Poly:
             head = _sorted_form(_product(head, g, limit))
         _product(head, factors[-1] if factors else one, limit, acc,
                  coeff.numerator * (common // den))
-    return code.unpack(acc, common, tuple(target))
+    return code.unpack(acc.items(), common, tuple(target))
 
 
 def assign(f: Poly, values: Mapping[int, int | Fraction]) -> Poly:

@@ -199,6 +199,16 @@ def test_duval_truncation_below_two_is_input_error():
         assert err.strip() and "internal error" not in err
 
 
+def test_duval_vanishing_residual_exit_codes():
+    # an exact square is proven non-isolated; an inexact split stays undecided
+    cases = [("x^2", "singular along a surface"), ("(x+y)^2", "singular along a surface"),
+             ("x^2+x*z^13", "retry with a larger one")]
+    for germ, message in cases:
+        code, out, err = run_cli(["duval", "--germ", germ, "--truncation", "12"])
+        assert code == 2 and out == ""
+        assert message in err, (germ, err)
+
+
 def test_milnor_cap_below_three_is_input_error():
     # below 3 the stabilization can never decide, so an A1 germ would be
     # reported as non-isolated

@@ -243,6 +243,27 @@ def test_truncation_too_small():
     assert report.recommendation.weights == (2, 1, 1)
 
 
+def test_exact_square_is_non_isolated():
+    # c * x^2 after linear steps only, with deg f <= N: the split is exact and
+    # g = 0, so the germ is singular along a surface at every truncation
+    for text in ("x^2", "(x+y)^2", "3*(x-2*y+z)^2", "-2/3*y*z+1/6*y^2+2/3*z^2"):
+        for truncation in (2, 12, 30):
+            with pytest.raises(NonIsolatedGermError):
+                classify(text, truncation)
+
+
+def test_vanishing_residual_of_an_inexact_split_is_a_truncation_error():
+    # deg f > N: the true g of x^2 + x*z^13 is -z^26/4
+    with pytest.raises(TruncationError) as caught:
+        classify("x^2+x*z^13", truncation=12)
+    assert not isinstance(caught.value, NonIsolatedGermError)
+    assert classify("x^2+x*z^13", truncation=30).residual == P.parse_poly("-1/4*z^26", V2)
+    # a shear above degree 2 fired, so truncation may have dropped terms
+    with pytest.raises(TruncationError) as caught:
+        classify("(x+y^2)^2", truncation=30)
+    assert not isinstance(caught.value, NonIsolatedGermError)
+
+
 def test_rejects_wrong_arity_and_nonvanishing():
     with pytest.raises(DuvalError):
         duval.classify_germ(P.parse_poly("y^2+z^2", V2))
@@ -330,3 +351,142 @@ def test_quotient_basis_of_g_lifts_to_the_double_point():
         for n in range(2, 14):
             lifted = tuple((0,) + m for m in locdef.quotient_dim(g, "jacobian", n).basis)
             assert lifted == locdef.quotient_dim(_double_point(g), "jacobian", n).basis
+
+
+# -- the packed shear kernel against one Poly-level substitution per shear --
+
+
+def _reference_shear(f, i, k, lead, degree, cap, steps):
+    """One shear against lead * v^k at one degree, as one P.substitute call."""
+    pure = tuple(k if j == i else 0 for j in range(f.arity))
+    targets = {
+        m: coeff
+        for m, coeff in f.terms.items()
+        if sum(m) == degree and m[i] >= k - 1 and m != pure
+    }
+    if not targets:
+        return f
+    shear = Poly(f.vars, {
+        tuple(e - (k - 1) if j == i else e for j, e in enumerate(m)): coeff / (k * lead)
+        for m, coeff in targets.items()
+    })
+    images = [Poly.variable(f.vars, j) for j in range(f.arity)]
+    images[i] = images[i] - shear
+    steps.append(tuple(images))
+    return P.substitute(f, images, cap=cap)
+
+
+def _reference_split(f, n_trunc):
+    """truncated_split with every step applied by P.substitute."""
+    x, y, z = (Poly.variable(V3, i) for i in range(3))
+    steps = []
+    current = P.jet(f, n_trunc)
+    squares = [(2, 0, 0), (0, 2, 0), (0, 0, 2)]
+    pivot = next((i for i in range(3) if current.coefficient(squares[i]) != 0), None)
+    if pivot is None:
+        i, j = next(
+            (i, j) for i in range(3) for j in range(i + 1, 3)
+            if current.coefficient(tuple(int(e in (i, j)) for e in range(3))) != 0
+        )
+        images = [x, y, z]
+        images[j] = images[j] + images[i]
+        steps.append(tuple(images))
+        current = P.substitute(current, images, cap=n_trunc)
+        pivot = i
+    if pivot != 0:
+        images = [x, y, z]
+        images[0], images[pivot] = images[pivot], images[0]
+        steps.append(tuple(images))
+        current = P.substitute(current, images, cap=n_trunc)
+    c = current.coefficient((2, 0, 0))
+    for degree in range(2, n_trunc + 1):
+        current = _reference_shear(current, 0, 2, c, degree, n_trunc, steps)
+    g = Poly(V2, {m[1:]: coeff for m, coeff in current.terms.items() if m != (2, 0, 0)})
+    return g, tuple(steps), c
+
+
+def _reference_cube_normalization(g, n_trunc):
+    """classify_double_point's steps and residual on a perfect-cube 3-jet, shears
+    by P.substitute; None on the other branches, which take no steps."""
+    g = P.jet(g, n_trunc)
+    if P.order(g) != 3:
+        return None
+    ell = duval.perfect_cube_root(P.jet(g, 3))
+    if ell is None:
+        return None
+    y, z = Poly.variable(V2, 0), Poly.variable(V2, 1)
+    alpha, beta = ell.coefficient((1, 0)), ell.coefficient((0, 1))
+    images = [(y - beta * z) * (1 / alpha), z] if alpha else [z, y]
+    steps = []
+    if images != [y, z]:
+        steps.append(tuple(images))
+        g = P.substitute(g, images, cap=n_trunc)
+    for degree in (4, 5):
+        g = _reference_shear(g, 0, 3, g.coefficient((3, 0)), degree, n_trunc, steps)
+    return tuple(steps), g
+
+
+def _brieskorn(*exponents):
+    principal = [tuple(e if j == i else 0 for j in range(3)) for i, e in enumerate(exponents)]
+    return principal, tuple(Fraction(1, e) for e in exponents)
+
+
+# (principal monomials, weights) of every germ-classify family of order 2:
+# A_n, D_n, E6, E7, E8, J211 and J321.  Terms of weighted degree above 1
+# keep the family.
+_SPLIT_FAMILIES = (
+    [_brieskorn(2, 2, n + 1) for n in (1, 4, 7, 11)]
+    + [([(2, 0, 0), (0, 2, 1), (0, 0, n - 1)],
+        (Fraction(1, 2), Fraction(n - 2, 2 * n - 2), Fraction(1, n - 1))) for n in (4, 6, 9)]
+    + [_brieskorn(2, 3, 4),
+       ([(2, 0, 0), (0, 3, 0), (0, 1, 3)], (Fraction(1, 2), Fraction(1, 3), Fraction(2, 9))),
+       _brieskorn(2, 3, 5)]
+    + [_brieskorn(2, a, b) for a, b in ((4, 4), (4, 6), (5, 5))]
+    + [_brieskorn(2, 3, b) for b in (6, 8, 9)]
+)
+
+
+def _split_germs():
+    """Seeded order-2 germs under sparse and dense L*U changes of coordinates."""
+    rng = random.Random(149)
+    upper = [
+        (i, j, d - i - j) for d in range(3, 9) for i in range(d + 1) for j in range(d + 1 - i)
+    ]
+    germs = []
+    for number, (principal, weights) in enumerate(_SPLIT_FAMILIES * 2):
+        big = number % 2  # six-digit numerators over two-digit denominators
+        pool = [m for m in upper if sum(w * e for w, e in zip(weights, m)) > 1]
+        terms = {}
+        for m in principal + rng.sample(pool, 3):
+            num = rng.randint(1, 999999) if big else rng.randint(1, 3)
+            terms[m] = Fraction(rng.choice([-1, 1]) * num, rng.randint(1, 99) if big else 1)
+        if number % 4 < 2:
+            a, b, c = (rng.choice([-2, -1, 0, 1, 2]) for _ in range(3))
+            matrix = [[1, a, b], [0, 1, c], [0, 0, 1]]
+        else:
+            s = [rng.choice([-1, 1]) for _ in range(6)]
+            lower = [[1, 0, 0], [s[0], 1, 0], [s[1], s[2], 1]]
+            upper_factor = [[1, s[3], s[4]], [0, 1, s[5]], [0, 0, 1]]
+            matrix = [[sum(lower[i][k] * upper_factor[k][j] for k in range(3))
+                       for j in range(3)] for i in range(3)]
+        x, y, z = (Poly.variable(V3, i) for i in range(3))
+        images = [row[0] * x + row[1] * y + row[2] * z for row in matrix]
+        germs.append(P.substitute(Poly(V3, terms), images))
+    return germs
+
+
+def test_shear_kernel_matches_one_substitution_per_shear():
+    cube_branches = sheared = 0
+    for number, f in enumerate(_split_germs()):
+        # every truncation from 2 to 14, and one at 6 or above per germ
+        for n_trunc in sorted({2 + number % 13, 14 - number % 9}):
+            g, steps, c = duval.truncated_split(f, n_trunc)
+            assert (g, steps, c) == _reference_split(f, n_trunc), (P.render(f), n_trunc)
+            expected = _reference_cube_normalization(g, n_trunc) if n_trunc >= 6 else None
+            if expected is None:
+                continue
+            report = duval.classify_double_point(g, n_trunc)
+            assert (report.normalization, report.residual) == expected, (P.render(g), n_trunc)
+            cube_branches += 1
+            sheared += any(P.degree(image) > 1 for images in expected[0] for image in images)
+    assert cube_branches >= 10 and sheared >= 5
