@@ -24,6 +24,9 @@ from .poly import Monomial, Poly
 
 DEFAULT_TRUNCATION = 12
 DEFAULT_CAP = 24
+# the default stabilization limit rises to bezout_bound(f) + 1 up to here;
+# B grows like (deg f - 1)^n, so above it dense germs keep the default cap
+BEZOUT_CAP_CEILING = 32
 _ENV_TRUNCATION = "ELEPHANTINE_TRUNCATION"
 
 
@@ -215,14 +218,43 @@ def quotient_dim(f: Poly, ideal_tag: str = "jacobian", truncation: int | None = 
     )
 
 
+def bezout_bound(f: Poly) -> int:
+    """B = prod deg(d_i f), a bound on the Milnor number of an isolated point.
+
+    At an isolated critical point mu <= B (refined Bezout, Fulton,
+    Intersection Theory, Thm 12.3: mu is the intersection multiplicity of
+    the partials there, O/J being Cohen-Macaulay), and every truncated
+    dimension of the Jacobian or Tjurina ideal is at most mu.  A zero
+    partial gives B = 0: f then misses a variable, so it is non-isolated
+    unless it is smooth, with mu = 0.  Over Q no two terms of d_i f cancel,
+    so deg(d_i f) + 1 is the largest degree of a term of f involving x_i.
+    """
+    bound = 1
+    for i in range(f.arity):
+        degree = max((sum(m) for m in f.terms if m[i]), default=0)
+        if not degree:
+            return 0
+        bound *= degree - 1
+    return bound
+
+
 def _stable_dimension(f: Poly, ideal_tag: str, cap: int | None) -> int | None:
-    """First plateau of dim O/(I + m^N) up to the cap, or None without one.
+    """First plateau of dim O/(I + m^N) up to the limit, or None without one.
 
     Pivots are grlex-least, so the basis at N contains the basis at each
     N' <= N and dim O/(I + m^N') counts its monomials of degree < N'.  By
     Nakayama the value is stable at the first degree d >= 2 with no basis
-    monomial, if d <= cap - 1.  N grows by half (4, 6, 9, 13, ...): doubling
-    overshoots small Milnor numbers to an echelon dearer than all before it.
+    monomial, if d <= limit - 1.
+
+    Past the first echelon without a plateau, B = bezout_bound(f) settles
+    the rest.  An isolated f has every truncated dimension <= B, so dim > B
+    proves it non-isolated and returns None at once.  Otherwise each degree
+    from N up to the plateau degree holds a basis monomial, so the plateau
+    lies below N + B - dim + 1, and N steps to the least of that, N + N//2
+    (doubling overshoots small Milnor numbers to an echelon dearer than all
+    before it) and the limit.  The limit is the cap, or by default
+    default_cap(), raised to B + 1 when that is at most BEZOUT_CAP_CEILING:
+    at N = B + 1 the plateau of an isolated germ always shows.
     """
     if f.constant_term() != 0:
         raise LocdefError("germ must vanish at the origin")
@@ -230,6 +262,7 @@ def _stable_dimension(f: Poly, ideal_tag: str, cap: int | None) -> int | None:
     if limit < 3:
         return None
     n_trunc = min(4, limit)
+    bound = None
     while True:
         per_degree = [0] * n_trunc
         for mono in quotient_dim(f, ideal_tag, n_trunc).basis:
@@ -237,9 +270,14 @@ def _stable_dimension(f: Poly, ideal_tag: str, cap: int | None) -> int | None:
         for d in range(2, n_trunc):
             if per_degree[d] == 0:
                 return sum(per_degree[:d])
-        if n_trunc == limit:
+        dim = sum(per_degree)
+        if bound is None:
+            bound = bezout_bound(f)
+            if cap is None and limit < bound + 1 <= BEZOUT_CAP_CEILING:
+                limit = bound + 1
+        if dim > bound or n_trunc == limit:
             return None
-        n_trunc = min(n_trunc + n_trunc // 2, limit)
+        n_trunc = min(n_trunc + n_trunc // 2, n_trunc + bound - dim + 1, limit)
 
 
 def milnor_number(f: Poly, cap: int | None = None) -> int | None:
@@ -247,8 +285,10 @@ def milnor_number(f: Poly, cap: int | None = None) -> int | None:
 
     Each echelon of the Jacobian ideal gives dim O/(J_f + m^N') for every N'
     up to its own N; the answer is the first plateau of that sequence, where
-    two consecutive values agree.  No plateau by the cap (a genuinely
-    non-isolated critical point, or a cap set too small) yields None.
+    two consecutive values agree.  None means either a proof that the
+    critical point is not isolated (a dimension above bezout_bound(f)) or no
+    plateau below the limit: an explicit cap set too small, or a default
+    limit below B + 1 because B + 1 > BEZOUT_CAP_CEILING.
     """
     return _stable_dimension(f, "jacobian", cap)
 

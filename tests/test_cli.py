@@ -113,6 +113,15 @@ def test_milnor_subcommand():
     assert not report["result"]["isolated"]
 
 
+def test_milnor_past_the_default_cap():
+    # B = 1*1*29 lifts the default cap 24 to 30, where A_29 stabilizes;
+    # an explicit --cap keeps its meaning
+    report = run_json(["milnor", "--germ", "x^2+y^2+z^30"])
+    assert report["result"] == {"isolated": True, "milnor_number": 29, "tjurina_number": 29}
+    report = run_json(["milnor", "--germ", "x^2+y^2+z^30", "--cap", "24"])
+    assert report["result"]["milnor_number"] is None
+
+
 def test_t1_subcommand():
     report = run_json(["t1", "--germ", "x^2+y^3+z^4"])
     assert report["result"]["dimension"] == 6

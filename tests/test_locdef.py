@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -108,6 +109,103 @@ def test_milnor_number_at_the_cap_boundary(k):
     f = P.parse_poly(f"x^2+y^2+z^{k + 1}", V3)
     assert locdef.milnor_number(f, cap=k + 1) == k
     assert locdef.milnor_number(f, cap=k) is None
+
+
+def _recorded_echelons(monkeypatch):
+    # (N, dimension) of every quotient_dim call the stabilization makes
+    calls = []
+    quotient_dim = locdef.quotient_dim
+
+    def recording(f, ideal_tag="jacobian", truncation=None):
+        tq = quotient_dim(f, ideal_tag, truncation)
+        calls.append((tq.truncation, tq.dimension))
+        return tq
+
+    monkeypatch.setattr(locdef, "quotient_dim", recording)
+    return calls
+
+
+def _brieskorn_pham(exponents, coeffs):
+    vars = V3[:len(exponents)]
+    terms = {tuple(a if j == i else 0 for j in range(len(vars))): Fraction(c)
+             for i, (a, c) in enumerate(zip(exponents, coeffs))}
+    return Poly(vars, terms)
+
+
+def test_bezout_bound_is_sharp_on_brieskorn_pham():
+    # mu(x^a + y^b + z^c) = (a-1)(b-1)(c-1) = prod deg of the partials
+    cases = [(2, 2), (3, 5), (4, 7), (2, 2, 2), (2, 3, 5), (3, 3, 3), (2, 4, 6), (3, 4, 5),
+             (2, 3, 13), (2, 2, 30)]
+    for exponents in cases:
+        f = _brieskorn_pham(exponents, [-3, 2, 5][:len(exponents)])
+        expected = math.prod(a - 1 for a in exponents)
+        assert locdef.bezout_bound(f) == expected, exponents
+        assert locdef.milnor_number(f) == locdef.tjurina_number(f) == expected, exponents
+
+
+def _semi_quasi_homogeneous(rng, nvars):
+    # Brieskorn-Pham plus terms of weighted degree above 1 under a unipotent
+    # linear change: isolated, with mu = prod (a_i - 1) whatever the extra
+    # terms and the change
+    exponents = [rng.randint(2, 7 - nvars) for _ in range(nvars)]
+    f = _brieskorn_pham(exponents, [rng.choice([-2, -1, 1, 3]) for _ in exponents])
+    upper = [m for m in locdef.monomials_below(nvars, max(exponents) + 2)
+             if sum(Fraction(e, a) for e, a in zip(m, exponents)) > 1]
+    for m in rng.sample(upper, 2):
+        f = f + Poly(f.vars, {m: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))})
+    images = [Poly.variable(f.vars, i) for i in range(nvars)]
+    for i in range(nvars - 1):
+        images[i] = images[i] + rng.randint(-2, 2) * images[i + 1]
+    return P.substitute(f, images), math.prod(a - 1 for a in exponents)
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_no_echelon_dimension_exceeds_the_bezout_bound(nvars, monkeypatch):
+    rng = random.Random(149 + nvars)
+    calls = _recorded_echelons(monkeypatch)
+    for _ in range(12):
+        f, mu = _semi_quasi_homogeneous(rng, nvars)
+        bound = locdef.bezout_bound(f)
+        assert bound == math.prod(P.degree(g) for g in P.partials(f))
+        calls.clear()
+        assert locdef.milnor_number(f) == mu, P.render(f)
+        assert locdef.tjurina_number(f) in range(1, mu + 1)
+        assert calls and all(dim <= bound for _, dim in calls), (P.render(f), bound, calls)
+        # the plateau, at a degree <= mu <= B, shows by N = B + 1
+        if bound <= 16:
+            assert locdef.quotient_dim(f, "jacobian", bound + 1).dimension == mu
+
+
+@pytest.mark.parametrize("text, ideal_tag, stable, ladder", [
+    ("x^2+y^2", "jacobian", None, [4]),
+    ("x^2+y^2*z", "jacobian", None, [4]),
+    ("x^2+y^2*z", "tjurina", None, [4]),
+    ("x*y*z", "jacobian", None, [4]),
+    # B = 24 and the plateau is at degree 13: N = 13 + 24 - 24 + 1
+    ("x^2+y^3+z^13", "jacobian", 24, [4, 6, 9, 13, 14]),
+])
+def test_stabilization_ladders(text, ideal_tag, stable, ladder, monkeypatch):
+    calls = _recorded_echelons(monkeypatch)
+    assert locdef._stable_dimension(P.parse_poly(text, V3), ideal_tag, None) == stable
+    assert [n for n, _ in calls] == ladder
+
+
+def test_zero_partial_at_a_smooth_point():
+    # d/dz f = 0 sets B = 0, which a smooth point meets with mu = 0
+    f = P.parse_poly("y+x^2", V3)
+    assert locdef.bezout_bound(f) == 0
+    assert locdef.milnor_number(f) == locdef.tjurina_number(f) == 0
+
+
+def test_default_limit_rises_to_the_bezout_bound_up_to_the_ceiling():
+    # A_29 has B = 29 and its plateau at degree 29, past the default cap 24
+    f = P.parse_poly("x^2+y^2+z^30", V3)
+    assert locdef.milnor_number(f) == locdef.tjurina_number(f) == 29
+    assert locdef.milnor_number(f, cap=24) is None
+    # B + 1 = 41 is above the ceiling: the default cap stays, undecided
+    g = P.parse_poly("x^2+y^2+z^41", V3)
+    assert locdef.bezout_bound(g) + 1 > locdef.BEZOUT_CAP_CEILING
+    assert locdef.milnor_number(g) is None
 
 
 def test_tjurina_equals_milnor_for_quasi_homogeneous():
