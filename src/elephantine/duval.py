@@ -1,27 +1,26 @@
 """Classification of isolated double points x^2 + g(y, z) on a smooth 3-fold.
 
 A germ of order >= 3 immediately yields the origin blow-up with discrepancy
-2 - mult <= -1.  A germ of order 2 is split as x^2 + g(y, z) by truncated
-shears, all of which run on one packed integer form of the jet (packed
-once, unpacked once); a germ that is exactly c*x^2 after linear steps is
-singular along a surface.  g is then run through the jet case tree: order
-2 gives type A, a 3-jet with two distinct factors gives type D, a
-perfect-cube 3-jet is normalized to y^3 and the 4- and 5-jet coefficients,
-after two more shears on the packed form, decide E6/E7/E8 or, failing all
-of those, the (3, 2, 1) weighted blow-up with discrepancy -1.  A and D
-indices come from the Milnor-number oracle; every Du Val verdict is
-cross-checked against it.  The oracle runs on g itself: the Jacobian ideal
-of x^2 + g contains x, so O_3/(J + m^N) and O_2/(J_g + m^N) are isomorphic
-for every N and mu(x^2 + g) = mu(g) (Sebastiani-Thom).
+2 - mult <= -1.  A germ of order 2 is split as x^2 + g(y, z) by
+poly.split_square, the split that locdef's Milnor and Tjurina numbers use
+too.  Its truncated shears run in poly.shears, the one shear kernel, on one
+packed integer form of the jet (packed once, unpacked once).  A germ that
+is exactly c*x^2 after linear steps is singular along a surface.  g is
+then run through the jet case tree: order 2 gives type A, a 3-jet with two
+distinct factors gives type D, a perfect-cube 3-jet is normalized to y^3
+and the 4- and 5-jet coefficients, after two more shears on the packed
+form, decide E6/E7/E8 or, failing all of those, the (3, 2, 1) weighted
+blow-up with discrepancy -1.  A and D indices come from the Milnor-number
+oracle; every Du Val verdict is cross-checked against it.  The oracle runs
+on g itself: the Jacobian ideal of x^2 + g contains x, so O_3/(J + m^N)
+and O_2/(J_g + m^N) are isomorphic for every N and mu(x^2 + g) = mu(g)
+(Sebastiani-Thom).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Iterable
 
 from . import locdef
 from . import poly as P
@@ -83,69 +82,6 @@ class SingularityReport:
         return f"{self.family}{self.index}"
 
 
-def _identity_images(vars: tuple[str, ...]) -> list[Poly]:
-    return [Poly.variable(vars, i) for i in range(len(vars))]
-
-
-def _shears(
-    f: Poly, i: int, k: int, lead: Fraction, degrees: Iterable[int], cap: int,
-    steps: list[Step],
-) -> Poly:
-    """Shear f against its term lead * v^k, v the variable i, once per degree.
-
-    At each degree d in turn, s is the sum of the degree-d terms divisible by
-    v^(k-1), other than v^k, divided by k * lead * v^(k-1); the substitution
-    v -> v - s cancels those terms, changes none of lower degree, and is
-    recorded in steps.  f is packed once into poly's integer form F / D,
-    truncated at cap, and unpacked once at the end.  With s = S * q / p in
-    lowest terms, v - s = L / p for the integer form L = p * v - q * S, so
-    writing F = sum_a F_a * v^a gives the image sum_a F_a * L^a * p^(A - a)
-    over D * p^A; dividing by the content keeps D the lcm of the reduced
-    denominators, as pack builds it.
-    """
-    code = P._Packing(f.arity, cap + 1, cap)  # products pass the cap: truncate there
-    form, den = code.pack(f)
-    base, place, unit, limit = code.base, code.places[i], code.lead, code.limit
-    v = place + unit  # the key of v; adding it multiplies by v
-    pure = k * v
-    shift = (k - 1) * v
-    for degree in degrees:
-        # form is sorted by key, and the keys of degree d lie in [d, d + 1) * unit
-        targets = [
-            (key - shift, c)
-            for key, c in form[bisect_left(form, (degree * unit,)):
-                               bisect_left(form, ((degree + 1) * unit,))]
-            if (key // place) % base >= k - 1 and key != pure
-        ]
-        if not targets:
-            continue
-        t = 1 / (k * lead * den)
-        q, p = t.numerator, t.denominator
-        v_image = P._sorted_form({v: p, **{key: -q * c for key, c in targets}})  # L
-        images = _identity_images(f.vars)
-        images[i] = code.unpack(v_image, p, f.vars)
-        steps.append(tuple(images))
-        # F_a with v^a taken out of its keys; form is sorted, so each F_a is too
-        by_power: dict[int, list[tuple[int, int]]] = {}
-        for key, c in form:
-            a = (key // place) % base
-            by_power.setdefault(a, []).append((key - a * v, c))
-        top = max(by_power)
-        powers = [[(0, 1)], v_image]
-        acc: dict[int, int] = {}
-        for a, part in by_power.items():
-            while len(powers) <= a:
-                powers.append(P._sorted_form(P._product(powers[-1], v_image, limit)))
-            P._product(part, powers[a], limit, acc, p ** (top - a))
-        form = P._sorted_form(acc)
-        den *= p ** top
-        content = gcd(den, *(c for _, c in form))
-        if content > 1:
-            form = [(key, c // content) for key, c in form]
-            den //= content
-    return code.unpack(form, den, f.vars)
-
-
 def perfect_cube_root(cubic: Poly) -> Poly | None:
     """The monic linear form l with cubic = unit * l^3, if one exists.
 
@@ -176,7 +112,8 @@ def truncated_split(f: Poly, truncation: int | None = None) -> tuple[Poly, tuple
     Returns (g, steps, c): applying the recorded substitution steps to f and
     truncating reproduces c*x^2 + g exactly, with g free of the first
     variable.  The change is a linear normalization followed by one shear
-    per degree, each shear removing every x-involving term of that degree.
+    per degree, each shear removing every x-involving term of that degree:
+    poly.split_square on three variables.
     """
     n_trunc = locdef.default_truncation() if truncation is None else truncation
     if f.arity != 3:
@@ -185,55 +122,9 @@ def truncated_split(f: Poly, truncation: int | None = None) -> tuple[Poly, tuple
         raise DuvalError("splitting expects a germ of order exactly 2")
     if n_trunc < 2:
         raise TruncationError("splitting needs truncation >= 2")
-    vars = f.vars
     steps: list[Step] = []
-    current = P.jet(f, n_trunc)
-
-    quad = P.jet(current, 2)
-    pivot = next((i for i in range(3) if quad.coefficient(_square(i)) != 0), None)
-    if pivot is None:
-        # only cross terms: create a square from the first one present
-        i, j = next(
-            (i, j)
-            for i in range(3)
-            for j in range(i + 1, 3)
-            if quad.coefficient(_cross(i, j)) != 0
-        )
-        images = _identity_images(vars)
-        images[j] = images[j] + Poly.variable(vars, i)
-        steps.append(tuple(images))
-        current = P.substitute(current, images, cap=n_trunc)
-        pivot = i
-    if pivot != 0:
-        images = _identity_images(vars)
-        images[0], images[pivot] = images[pivot], images[0]
-        steps.append(tuple(images))
-        current = P.substitute(current, images, cap=n_trunc)
-
-    c = current.coefficient(_square(0))
-    if c == 0:
-        raise InvariantError("linear normalization left no x^2 term")
-    current = _shears(current, 0, 2, c, range(2, n_trunc + 1), n_trunc, steps)
-
-    x_square = _square(0)
-    residual_terms = {m: coeff for m, coeff in current.terms.items() if m != x_square}
-    if any(m[0] for m in residual_terms):
-        raise InvariantError("split left x-involving terms")
-    g = Poly(vars[1:], {(m[1], m[2]): coeff for m, coeff in residual_terms.items()})
+    g, c = P.split_square(f, n_trunc, steps)
     return g, tuple(steps), c
-
-
-def _square(i: int) -> tuple[int, int, int]:
-    mono = [0, 0, 0]
-    mono[i] = 2
-    return tuple(mono)
-
-
-def _cross(i: int, j: int) -> tuple[int, int, int]:
-    mono = [0, 0, 0]
-    mono[i] = 1
-    mono[j] = 1
-    return tuple(mono)
 
 
 def _oracle_milnor(germ: Poly) -> int:
@@ -297,7 +188,7 @@ def classify_double_point(g: Poly, truncation: int | None = None) -> Singularity
             raise InvariantError("cube normalization did not give a multiple of y^3")
 
         # shear away the degree-4 and degree-5 terms divisible by y^2
-        g = _shears(g, 0, 3, cube_coeff, (4, 5), n_trunc, steps)
+        g = P.shears(g, 0, 3, cube_coeff, (4, 5), n_trunc, steps)
 
         # alpha z^4, beta y z^3 and gamma z^5 decide E6, E7 and E8
         if g.coefficient((0, 4)) != 0:

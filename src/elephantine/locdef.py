@@ -7,7 +7,9 @@ monomials of degree < N, with the grlex-least monomial of each row as pivot.
 The echelon runs over Z: each monomial is one int whose order is grlex and
 whose sum is the product of monomials, and rows are eliminated fraction-free
 on integer numerators.  Degree truncation replaces local standard bases:
-exact, simple, and enough for germs with small Milnor number.
+exact, simple, and enough for germs with small Milnor number.  Milnor and
+Tjurina numbers split the squares off the germ first (poly.split_square),
+and run the echelon on what is left in the other variables.
 """
 
 from __future__ import annotations
@@ -238,6 +240,17 @@ def bezout_bound(f: Poly) -> int:
     return bound
 
 
+def _corank_residual(f: Poly, n_trunc: int) -> Poly:
+    """The germ g_N left after splitting off squares at truncation N.
+
+    While the germ has order 2 and more than one variable, poly.split_square
+    takes off one square: f o phi = c * x_1^2 + g_N modulo m^(N + 1).
+    """
+    while f.arity > 1 and P.order(f) == 2:
+        f, _ = P.split_square(f, n_trunc)
+    return f
+
+
 def _stable_dimension(f: Poly, ideal_tag: str, cap: int | None) -> int | None:
     """First plateau of dim O/(I + m^N) up to the limit, or None without one.
 
@@ -255,6 +268,18 @@ def _stable_dimension(f: Poly, ideal_tag: str, cap: int | None) -> int | None:
     before it) and the limit.  The limit is the cap, or by default
     default_cap(), raised to B + 1 when that is at most BEZOUT_CAP_CEILING:
     at N = B + 1 the plateau of an isolated germ always shows.
+
+    Each echelon runs on the corank residual g_N of f in n - r variables, r
+    the number of squares split off at the echelon's own N (the splitting
+    lemma).  With phi the recorded change of coordinates, f o phi = c *
+    x_1^2 + g_N + h with h in m^(N + 1).  By the chain rule J(f o phi) =
+    phi*(J_f), and phi* preserves every m^M, so the dimensions of f and of
+    f o phi agree.  The partials of h lie in m^N, so for M <= N
+    J(f o phi) + m^M = (x_1) + J_g + m^M, and with f o phi = g_N modulo x_1
+    and m^(N + 1) the Tjurina ideals agree the same way.  Every truncated
+    dimension and every basis count per degree that the loop reads is the
+    same in fewer variables.  B, the vanishing check, the limit and the
+    ladder of N stay on f.
     """
     if f.constant_term() != 0:
         raise LocdefError("germ must vanish at the origin")
@@ -265,7 +290,7 @@ def _stable_dimension(f: Poly, ideal_tag: str, cap: int | None) -> int | None:
     bound = None
     while True:
         per_degree = [0] * n_trunc
-        for mono in quotient_dim(f, ideal_tag, n_trunc).basis:
+        for mono in quotient_dim(_corank_residual(f, n_trunc), ideal_tag, n_trunc).basis:
             per_degree[sum(mono)] += 1
         for d in range(2, n_trunc):
             if per_degree[d] == 0:
@@ -288,7 +313,10 @@ def milnor_number(f: Poly, cap: int | None = None) -> int | None:
     two consecutive values agree.  None means either a proof that the
     critical point is not isolated (a dimension above bezout_bound(f)) or no
     plateau below the limit: an explicit cap set too small, or a default
-    limit below B + 1 because B + 1 > BEZOUT_CAP_CEILING.
+    limit below B + 1 because B + 1 > BEZOUT_CAP_CEILING.  The echelons run
+    in the corank variables only: mu(c * x^2 + g) = mu(g), so a germ with a
+    nondegenerate quadratic part of rank r costs an echelon in n - r
+    variables.
     """
     return _stable_dimension(f, "jacobian", cap)
 

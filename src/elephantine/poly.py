@@ -16,7 +16,7 @@ import operator
 import re
 from bisect import bisect_left
 from fractions import Fraction
-from math import lcm, prod
+from math import comb, gcd, lcm, prod
 from typing import Iterable, Mapping, Sequence
 
 Monomial = tuple[int, ...]
@@ -306,7 +306,7 @@ def mul(a: Poly, b: Poly) -> Poly:
 # (cap + 1) * B^arity exactly when the product has degree <= cap.  One
 # bisection per left-hand term then bounds the right-hand terms it meets,
 # and no pair above the cap is ever multiplied.  _Packing, _product and
-# _sorted_form serve substitute and the shear kernel of duval, which keeps
+# _sorted_form serve substitute and the shear kernel, shears, which keeps
 # one such form through all of its shears; mul multiplies term by term.
 
 Form = list[tuple[int, int]]
@@ -435,6 +435,128 @@ def substitute(f: Poly, images: Sequence[Poly], cap: int | None = None) -> Poly:
         _product(head, factors[-1] if factors else one, limit, acc,
                  coeff.numerator * (common // den))
     return code.unpack(acc.items(), common, tuple(target))
+
+
+def shears(
+    f: Poly, i: int, k: int, lead: Fraction, degrees: Iterable[int], cap: int,
+    steps: list[tuple[Poly, ...]] | None = None,
+) -> Poly:
+    """Shear f against its term lead * v^k, v the variable i, once per degree.
+
+    At each degree d in turn, s is the sum of the degree-d terms divisible by
+    v^(k-1), other than v^k, divided by k * lead * v^(k-1); the substitution
+    v -> v - s cancels those terms, changes none of lower degree, and is
+    recorded in steps, as the images of the variables, when steps is given.
+    f is packed once into the integer form F / D, truncated at cap, and
+    unpacked once at the end.  With s = S * q / p in lowest terms, Taylor's
+    formula gives the image F(v - s) = sum_j G_j * (-q * S)^j / p^j, where
+    G_j = sum_a C(a, j) * F_a * v^(a - j) for F = sum_a F_a * v^a.  Each
+    power j adds degree - k to the degree of a term, so only the G_j whose
+    products stay within the cap are formed, and the image is their sum
+    times p^(J - j) over D * p^J for the largest such j = J.  Dividing by
+    the content keeps D the lcm of the reduced denominators, as pack builds
+    it, so the result does not depend on J.
+    """
+    code = _Packing(f.arity, cap + 1, cap)  # products pass the cap: truncate there
+    form, den = code.pack(f)
+    base, place, unit, limit = code.base, code.places[i], code.lead, code.limit
+    v = place + unit  # the key of v; adding it multiplies by v
+    pure = k * v
+    shift = (k - 1) * v
+    for degree in degrees:
+        # form is sorted by key, and the keys of degree d lie in [d, d + 1) * unit
+        targets = [
+            (key - shift, c)
+            for key, c in form[bisect_left(form, (degree * unit,)):
+                               bisect_left(form, ((degree + 1) * unit,))]
+            if (key // place) % base >= k - 1 and key != pure
+        ]
+        if not targets:
+            continue
+        t = 1 / (k * lead * den)
+        q, p = t.numerator, t.denominator
+        u = [(key, -q * c) for key, c in targets]  # -q * S, sorted as form is
+        if steps is not None:
+            images = [Poly.variable(f.vars, j) for j in range(f.arity)]
+            images[i] = code.unpack(_sorted_form({v: p, **dict(u)}), p, f.vars)
+            steps.append(tuple(images))
+        # the Taylor parts G_j, without the terms whose degree e + j * (degree
+        # - k) in G_j * S^j is past the cap; form is sorted, and so is each G_j
+        growth = degree - k
+        taylor: list[Form] = []
+        for key, c in form:
+            a = (key // place) % base
+            reach = min(a, (cap - key // unit) // growth) if growth else a
+            while len(taylor) <= reach:
+                taylor.append([])
+            for j in range(reach + 1):
+                taylor[j].append((key - j * v, comb(a, j) * c))
+        top = len(taylor) - 1
+        powers = [[(0, 1)], u]
+        acc: dict[int, int] = {}
+        for j, part in enumerate(taylor):
+            while len(powers) <= j:
+                powers.append(_sorted_form(_product(powers[-1], u, limit)))
+            _product(part, powers[j], limit, acc, p ** (top - j))
+        form = _sorted_form(acc)
+        den *= p ** top
+        content = gcd(den, *(c for _, c in form))
+        if content > 1:
+            form = [(key, c // content) for key, c in form]
+            den //= content
+    return code.unpack(form, den, f.vars)
+
+
+def split_square(
+    f: Poly, cap: int, steps: list[tuple[Poly, ...]] | None = None,
+) -> tuple[Poly, Fraction]:
+    """Split a germ of order 2 as c * x_1^2 + g(x_2, ..., x_n) modulo degree > cap.
+
+    Returns (g, c).  The pivot is the first square x_i^2 of the quadratic
+    part or, with none, the first product x_i*x_j, which x_j -> x_j + x_i
+    turns into a square.  A swap of exponents moves the pivot to x_1, and
+    shears against c * x_1^2 at the degrees 2..cap remove every other term
+    involving x_1 (the splitting lemma).  Applying the changes of
+    coordinates, recorded in steps as the images of the variables when steps
+    is given, to f and truncating gives c * x_1^2 + g exactly.
+    """
+    vars = f.vars
+    n = len(vars)
+    current = jet(f, cap)
+    quad = {m: c for m, c in current.terms.items() if monomial_degree(m) == 2}
+    pivot = next((i for i in range(n) if _square(n, i) in quad), None)
+    if pivot is None:
+        # only products: x_j -> x_j + x_i adds c * x_i^2 for the first c * x_i*x_j
+        mono = max(quad)  # lexicographically first (i, j), as the exponents descend
+        pivot, j = (t for t, e in enumerate(mono) if e)
+        images = [Poly.variable(vars, t) for t in range(n)]
+        images[j] = images[j] + images[pivot]
+        if steps is not None:
+            steps.append(tuple(images))
+        current = substitute(current, images, cap=cap)
+    if pivot:
+        if steps is not None:
+            images = [Poly.variable(vars, t) for t in range(n)]
+            images[0], images[pivot] = images[pivot], images[0]
+            steps.append(tuple(images))
+        current = Poly._raw(vars, {_swap(m, pivot): c for m, c in current.terms.items()})
+    square = _square(n, 0)
+    c = current.coefficient(square)
+    if c == 0:
+        raise InvariantError("linear normalization left no x^2 term")
+    current = shears(current, 0, 2, c, range(2, cap + 1), cap, steps)
+    if any(m[0] and m != square for m in current.terms):
+        raise InvariantError("split left x-involving terms")
+    residual = {m[1:]: coeff for m, coeff in current.terms.items() if m != square}
+    return Poly._raw(vars[1:], residual), c
+
+
+def _square(n: int, i: int) -> Monomial:
+    return tuple(2 if t == i else 0 for t in range(n))
+
+
+def _swap(m: Monomial, i: int) -> Monomial:
+    return (m[i], *m[1:i], m[0], *m[i + 1:])
 
 
 def assign(f: Poly, values: Mapping[int, int | Fraction]) -> Poly:

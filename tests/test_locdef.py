@@ -190,6 +190,129 @@ def test_stabilization_ladders(text, ideal_tag, stable, ladder, monkeypatch):
     assert [n for n, _ in calls] == ladder
 
 
+def _per_degree(tq):
+    counts = [0] * tq.truncation
+    for mono in tq.basis:
+        counts[sum(mono)] += 1
+    return tuple(counts)
+
+
+def _full_echelon_stable_dimension(f, ideal_tag, cap, ladder):
+    # the stabilization loop before the corank split, every echelon on f
+    # itself; (N, basis count per degree) of each echelon goes to ladder
+    limit = locdef.default_cap() if cap is None else cap
+    if limit < 3:
+        return None
+    n_trunc = min(4, limit)
+    bound = None
+    while True:
+        per_degree = _per_degree(locdef.quotient_dim(f, ideal_tag, n_trunc))
+        ladder.append((n_trunc, per_degree))
+        for d in range(2, n_trunc):
+            if per_degree[d] == 0:
+                return sum(per_degree[:d])
+        dim = sum(per_degree)
+        if bound is None:
+            bound = locdef.bezout_bound(f)
+            if cap is None and limit < bound + 1 <= locdef.BEZOUT_CAP_CEILING:
+                limit = bound + 1
+        if dim > bound or n_trunc == limit:
+            return None
+        n_trunc = min(n_trunc + n_trunc // 2, n_trunc + bound - dim + 1, limit)
+
+
+def _dense_image(text):
+    # a linear change of determinant -4 that fills in every monomial
+    f = P.parse_poly(text, V3)
+    x, y, z = (Poly.variable(V3, i) for i in range(3))
+    return P.substitute(f, [x + y - z, x + z, -x + y + z])
+
+
+def _quadratic_rank_germs(rng, nvars, rank):
+    # sum of `rank` squares of independent linear forms (rows of a unipotent
+    # L*U), plus terms of degree 3 to 7; some are isolated, some are not
+    vars = V3[:nvars]
+    lower = [[int(i == j) if i <= j else rng.choice([-1, 0, 1]) for j in range(nvars)]
+             for i in range(nvars)]
+    upper = [[int(i == j) if i >= j else rng.choice([-1, 0, 1]) for j in range(nvars)]
+             for i in range(nvars)]
+    forms = [Poly(vars, {tuple(int(t == k) for t in range(nvars)):
+                         sum(lower[i][m] * upper[m][k] for m in range(nvars))
+                         for k in range(nvars)})
+             for i in range(nvars)]
+    f = Poly.zero(vars)
+    for form in forms[:rank]:
+        f = f + Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)) * form * form
+    while True:
+        g = random_poly(rng, vars, max_terms=3, max_degree=7)
+        g = g - P.jet(g, 2)
+        if not (f + g).is_zero():
+            return f + g
+
+
+def _corank_corpus():
+    rng = random.Random(157)
+    germs = [_quadratic_rank_germs(rng, nvars, rank)
+             for nvars in (2, 3) for rank in range(nvars + 1) for _ in range(3)]
+    germs += [P.parse_poly(text, V3) for text in (
+        # quadratic parts with products only
+        "x*y+z^7", "x*z+y^3", "y*z+x^4-x^2*y", "x*y+y*z+x^5",
+        # non-isolated
+        "x^2+y^2", "x^2+y^2*z", "(x+y^2)^2", "x*y", "6/5*y^3*z-x*y*z-7/3*x*z^2-3/2*x*z",
+    )]
+    germs += [P.parse_poly("x*y", V3[:2])]
+    # dense images of A3, D5, E6, E7 and E8
+    germs += [_dense_image(text) for text in (
+        "x^2+y^2+z^4", "x^2+y^2*z+z^4", "x^2+y^3+z^4", "x^2+y^3+y*z^3", "x^2+y^3+z^5")]
+    return germs
+
+
+@pytest.mark.parametrize("cap", [None, 3, 5, 9])
+def test_corank_split_matches_the_full_echelon(cap, monkeypatch):
+    germs = _corank_corpus()
+    if cap is not None:
+        # its full echelon at N = 19 takes over 10 s; its default-cap run is
+        # pinned against mu = tau = 24 below
+        germs.append(_dense_image("x^2+y^3+z^13"))
+    expected = []
+    for f in germs:
+        for ideal_tag in ("jacobian", "tjurina"):
+            ladder = []
+            stable = _full_echelon_stable_dimension(f, ideal_tag, cap, ladder)
+            expected.append((f, ideal_tag, stable, ladder))
+    ladder = []
+    quotient_dim = locdef.quotient_dim
+
+    def recording(g, ideal_tag="jacobian", truncation=None):
+        tq = quotient_dim(g, ideal_tag, truncation)
+        ladder.append((tq.truncation, _per_degree(tq)))
+        return tq
+
+    monkeypatch.setattr(locdef, "quotient_dim", recording)
+    answers = set()
+    for f, ideal_tag, stable, reference in expected:
+        ladder.clear()
+        number = locdef.milnor_number if ideal_tag == "jacobian" else locdef.tjurina_number
+        assert (number(f, cap), ladder) == (stable, reference), (P.render(f), ideal_tag)
+        answers.add(stable is None)
+    assert answers == {True, False}
+
+
+def test_dense_image_echelons_in_two_variables(monkeypatch):
+    # (x+y-z)^2 + (x+z)^3 + (-x+y+z)^13 is x^2 + y^3 + z^13 after a linear
+    # change: mu = tau = 1 * 2 * 12.  A three-variable echelon of it takes
+    # about 27 s, so one would fail here at once.
+    f = P.parse_poly("(x+y-z)^2+(x+z)^3+(-x+y+z)^13", V3)
+    quotient_dim = locdef.quotient_dim
+
+    def corank_only(g, ideal_tag="jacobian", truncation=None):
+        assert g.arity <= 2, (P.render(g), truncation)
+        return quotient_dim(g, ideal_tag, truncation)
+
+    monkeypatch.setattr(locdef, "quotient_dim", corank_only)
+    assert locdef.milnor_number(f) == locdef.tjurina_number(f) == 24
+
+
 def test_zero_partial_at_a_smooth_point():
     # d/dz f = 0 sets B = 0, which a smooth point meets with mu = 0
     f = P.parse_poly("y+x^2", V3)

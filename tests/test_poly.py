@@ -352,3 +352,37 @@ def test_truncation_degree_must_be_non_negative():
     f = P.parse_poly("x+y", ("x", "y"))
     with pytest.raises(P.PolyError):
         P.substitute(f, [f, f], cap=-1)
+
+
+@pytest.mark.parametrize("vars", [V2, V3, V4])
+def test_split_square_verifies_by_substitution(vars):
+    # seeded order-2 germs, a third of them with products only in their
+    # quadratic part; the recorded steps applied by substitute give c*x^2 + g
+    rng = random.Random(163 + len(vars))
+    n = len(vars)
+    identity = tuple(Poly.variable(vars, t) for t in range(n))
+    swaps = crosses = 0
+    for number in range(24):
+        quad = {}
+        while not quad:
+            for _ in range(rng.randint(1, 3)):
+                i, j = rng.sample(range(n), 2) if number % 3 == 0 else rng.choices(range(n), k=2)
+                mono = tuple((t == i) + (t == j) for t in range(n))
+                quad[mono] = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4))
+        f = Poly(vars, quad) + random_poly(rng, vars, max_terms=4, max_degree=6)
+        f = f - P.jet(f, 1)
+        if P.order(f) != 2:
+            continue
+        for cap in (2, 3, 7):
+            steps = []
+            g, c = P.split_square(f, cap, steps)
+            assert P.split_square(f, cap) == (g, c)
+            assert g.vars == vars[1:] and c != 0
+            transformed = P.jet(f, cap)
+            for images in steps:
+                transformed = P.substitute(transformed, list(images), cap=cap)
+            embedded = Poly(vars, {(0, *m): coeff for m, coeff in g.terms.items()})
+            assert transformed == Poly(vars, {(2,) + (0,) * (n - 1): c}) + embedded, P.render(f)
+            swaps += any(images != identity and set(images) == set(identity) for images in steps)
+            crosses += any(images[t] - identity[t] in identity for images in steps for t in range(n))
+    assert swaps and crosses
