@@ -4,12 +4,13 @@ Everything is a statement about O/(I + m^N) for an ideal I generated by the
 partials of a germ (and optionally the germ itself): the span of
 {monomial * generator} truncated below degree N is row-reduced against the
 monomials of degree < N, with the grlex-least monomial of each row as pivot.
-The echelon runs over Z: each monomial is one int whose order is grlex and
-whose sum is the product of monomials, and rows are eliminated fraction-free
-on integer numerators.  Degree truncation replaces local standard bases:
-exact, simple, and enough for germs with small Milnor number.  Milnor and
-Tjurina numbers split the squares off the germ first (poly.split_square),
-and run the echelon on what is left in the other variables.
+The echelon runs over Z: each monomial is one int in the key layout that
+poly._Grlex owns, whose order is grlex and whose sum is the product of
+monomials, and rows are eliminated fraction-free on integer numerators.
+Degree truncation replaces local standard bases: exact, simple, and enough
+for germs with small Milnor number.  Milnor and Tjurina numbers split the
+squares off the germ first (poly.split_square), and run the echelon on what
+is left in the other variables.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import functools
 import itertools
 import os
 from dataclasses import dataclass
-from math import comb, gcd, lcm
+from math import comb, gcd
 
 from . import poly as P
 from .cyclo import QuotientType, monomial_character, semi_invariant_character
@@ -71,57 +72,15 @@ def monomials_below(nvars: int, bound: int) -> list[Monomial]:
     return out
 
 
-class _Grlex:
-    """Monomials of degree < N in n variables packed into ints in grlex order.
-
-    With B = N + 1, key(m) = deg(m)*B^n - sum(e_i * B^(n-1-i)), x in the
-    highest place.  Below degree N every exponent is a base-B digit, so the
-    integer order is the order of poly.grlex_key.  The key is additive,
-    key(a*b) = key(a) + key(b), and every monomial of degree >= N, whatever
-    its exponents, has a key above top = (N-1)*B^n: its key is at least
-    deg*N*B^(n-1) >= N^2*B^(n-1) > top.  Truncation is the test key <= top.
-    """
-
-    __slots__ = ("base", "place", "units", "top", "keys")
-
-    def __init__(self, nvars: int, bound: int):
-        self.base = bound + 1
-        self.place = place = self.base ** nvars
-        self.units = tuple(place - self.base ** (nvars - 1 - i) for i in range(nvars))
-        self.top = (bound - 1) * place
-        self.keys = tuple(self.key(m) for m in monomials_below(nvars, bound))
-
-    def keys_below(self, degree: int) -> tuple[int, ...]:
-        """Keys of the monomials of degree below `degree` >= 1, a prefix of keys."""
-        nvars = len(self.units)
-        return self.keys[:comb(degree - 1 + nvars, nvars)]
-
-    def key(self, mono: Monomial) -> int:
-        return sum(e * unit for e, unit in zip(mono, self.units))
-
-    def monomial(self, key: int) -> Monomial:
-        degree = -(-key // self.place)
-        rest = degree * self.place - key
-        expo = []
-        for _ in self.units:
-            rest, e = divmod(rest, self.base)
-            expo.append(e)
-        return tuple(reversed(expo))
-
-    def row(self, f: Poly) -> dict[int, int]:
-        """The terms of f below degree N as numerators over one denominator."""
-        den = lcm(*(c.denominator for c in f.terms.values()))
-        out = {}
-        for mono, coeff in f.terms.items():
-            key = self.key(mono)
-            if key <= self.top:
-                out[key] = coeff.numerator * (den // coeff.denominator)
-        return out
-
-
 @functools.lru_cache(maxsize=32)
-def _grlex(nvars: int, bound: int) -> _Grlex:
-    return _Grlex(nvars, bound)
+def _grlex(nvars: int, bound: int) -> tuple[P._Grlex, tuple[int, ...]]:
+    """The poly._Grlex layout below degree `bound`, and its keys of monomials_below.
+
+    The keys ascend, and those below degree d >= 1 are the first
+    comb(d - 1 + nvars, nvars).
+    """
+    grlex = P._Grlex(nvars, bound - 1)
+    return grlex, tuple(map(grlex.key, monomials_below(nvars, bound)))
 
 
 class _RowSpace:
@@ -190,27 +149,29 @@ def _truncation(truncation: int | None) -> int:
     return n_trunc
 
 
-def _ideal_rows(f: Poly, ideal_tag: str, grlex: _Grlex) -> _RowSpace:
+def _ideal_rows(f: Poly, ideal_tag: str, n_trunc: int) -> _RowSpace:
+    grlex, keys = _grlex(f.arity, n_trunc)
     space = _RowSpace()
-    top = grlex.top
+    limit = grlex.limit
     for gen in _ideal_generators(f, ideal_tag):
-        row = grlex.row(gen)
+        row, _ = grlex.pack(gen)
         if not row:  # order(gen) >= N
             continue
-        for shift in grlex.keys_below(grlex.base - 1 - P.order(gen)):  # N - order(gen)
-            space.insert({k + shift: c for k, c in row.items() if k + shift <= top})
+        # the shifts are the monomials of degree < N - order(gen)
+        for shift in keys[:comb(n_trunc - 1 - P.order(gen) + f.arity, f.arity)]:
+            space.insert({k + shift: c for k, c in row.items() if k + shift < limit})
     return space
 
 
 def quotient_dim(f: Poly, ideal_tag: str = "jacobian", truncation: int | None = None) -> TruncatedQuotient:
     """Dimension and monomial basis of O/(I + m^N) for N = truncation."""
     n_trunc = _truncation(truncation)
-    grlex = _grlex(f.arity, n_trunc)
-    pivots = _ideal_rows(f, ideal_tag, grlex).pivots
+    grlex, keys = _grlex(f.arity, n_trunc)
+    pivots = _ideal_rows(f, ideal_tag, n_trunc).pivots
     # a list first: tuple() of a generator grows the tuple by resizing, and
     # such tuples pile up in CPython's per-size free lists once freed, which
     # raised the peak memory of a 25 s local-algebra run by about 2 MB
-    basis = tuple([grlex.monomial(k) for k in grlex.keys if k not in pivots])
+    basis = tuple(grlex.monomials([k for k in keys if k not in pivots]))
     return TruncatedQuotient(
         germ=f,
         truncation=n_trunc,
@@ -364,6 +325,6 @@ def in_m2_image(f: Poly, g: Poly, truncation: int | None = None) -> bool:
     n_trunc = _truncation(truncation)
     if g.arity != f.arity:
         raise LocdefError("germ and deformation arity mismatch")
-    grlex = _grlex(f.arity, min(n_trunc, 2))
-    space = _ideal_rows(f, "jacobian", grlex)
-    return not space.insert(grlex.row(g))
+    bound = min(n_trunc, 2)
+    grlex, _ = _grlex(f.arity, bound)
+    return not _ideal_rows(f, "jacobian", bound).insert(grlex.pack(g)[0])

@@ -297,64 +297,62 @@ def mul(a: Poly, b: Poly) -> Poly:
 
 # -- exact truncated substitution --------------------------------------
 #
-# substitute works on an integer form: a list of (key, numerator) pairs
-# sorted by key, over one common denominator kept beside it.  A key packs a
-# monomial into one int: its exponents are the low base-B digits and its
-# total degree the leading digit, where B exceeds every degree that can
-# occur (the cap, when one is set).  So adding two keys multiplies the
-# monomials, keys sort by degree first, and a key sum is below
-# (cap + 1) * B^arity exactly when the product has degree <= cap.  One
-# bisection per left-hand term then bounds the right-hand terms it meets,
-# and no pair above the cap is ever multiplied.  _Packing, _product and
-# _sorted_form serve substitute and the shear kernel, shears, which keeps
-# one such form through all of its shears; mul multiplies term by term.
+# substitute, the shear kernel shears and locdef's echelon work on integer
+# forms: numerators keyed by packed monomials, over one common denominator
+# kept beside them.  _Grlex owns the one key layout.  For the monomials of
+# total degree <= cap in n variables, with B = cap + 2,
+#
+#     key(m) = deg(m) * B^n - sum(e_i * B^(n-1-i)),
+#
+# x in the highest place.  The key is linear in the exponents, so adding two
+# keys multiplies the monomials.  Up to degree cap + 1 every exponent is a
+# base-B digit, so the keys of degree d fill ((d - 1) * B^n, d * B^n] and the
+# integer order is the order of grlex_key.  A monomial of degree d > cap,
+# whatever its exponents, has a key of at least d * (B - 1) * B^(n-1) >=
+# (cap + 1)^2 * B^(n-1) > cap * B^n, so truncation at the cap is the one test
+# key < limit = cap * B^n + 1.  On a form sorted by key, one bisection per
+# left-hand term then bounds the right-hand terms it meets, and _product
+# never multiplies a pair above the cap.  mul multiplies term by term.
 
 Form = list[tuple[int, int]]
 
 
-class _Packing:
-    """Key layout for monomials of total degree <= top, truncated at cap."""
+class _Grlex:
+    """Key layout for monomials in `arity` variables of total degree <= cap."""
 
-    __slots__ = ("arity", "base", "places", "lead", "cap", "limit")
+    __slots__ = ("base", "lead", "places", "units", "limit")
 
-    def __init__(self, arity: int, top: int, cap: int | None):
-        if cap is not None and cap >= top:
-            cap = None  # no product reaches the cap: nothing to truncate
-        self.arity = arity
-        self.base = (top if cap is None else cap) + 1
-        self.places = [self.base ** i for i in range(arity)]
-        self.lead = self.base ** arity
-        self.cap = cap
-        self.limit = None if cap is None else (cap + 1) * self.lead
+    def __init__(self, arity: int, cap: int):
+        self.base = base = cap + 2
+        self.lead = lead = base ** arity
+        self.places = [base ** (arity - 1 - i) for i in range(arity)]  # digit of x_i
+        self.units = [lead - place for place in self.places]  # key of x_i
+        self.limit = cap * lead + 1
 
-    def pack(self, f: Poly) -> tuple[Form, int]:
-        """Integer form of f without its terms above the cap, and its denominator."""
-        cap, places, lead = self.cap, self.places, self.lead
-        terms = [
-            (m, c) for m, c in f.terms.items() if cap is None or monomial_degree(m) <= cap
-        ]
+    def key(self, mono: Monomial) -> int:
+        return sum(map(operator.mul, mono, self.units))
+
+    def monomials(self, keys: Iterable[int]) -> list[Monomial]:
+        """The monomials of keys of degree <= cap + 1: e_i is digit i of -key mod B^n."""
+        base, lead, places = self.base, self.lead, self.places
+        return [tuple([-key % lead // place % base for place in places]) for key in keys]
+
+    def pack(self, f: Poly) -> tuple[dict[int, int], int]:
+        """The terms of f of degree <= cap as numerators over one denominator, by key."""
+        key, limit = self.key, self.limit
+        terms = [(k, c) for m, c in f.terms.items() if (k := key(m)) < limit]
         den = lcm(*(c.denominator for _, c in terms))
-        return sorted(
-            (sum(map(operator.mul, m, places)) + monomial_degree(m) * lead,
-             c.numerator * (den // c.denominator))
-            for m, c in terms
-        ), den
+        return {k: c.numerator * (den // c.denominator) for k, c in terms}, den
 
-    def unpack(self, pairs: Iterable[tuple[int, int]], den: int, vars: tuple[str, ...]) -> Poly:
+    def unpack(self, numerators: Mapping[int, int], den: int, vars: tuple[str, ...]) -> Poly:
         """The polynomial sum(v * monomial(key)) / den over the given context."""
-        base, arity = self.base, self.arity
-        terms: dict[Monomial, Fraction] = {}
-        for key, v in pairs:
-            if v:
-                mono = []
-                for _ in range(arity):
-                    key, e = divmod(key, base)
-                    mono.append(e)
-                terms[tuple(mono)] = Fraction(v, den)
-        return Poly._raw(vars, terms)
+        return Poly._raw(vars, {
+            m: Fraction(v, den)
+            for m, v in zip(self.monomials(numerators), numerators.values()) if v
+        })
 
 
-def _product(a: Form, b: Form, limit: int | None,
+def _product(a: Form, b: Form, limit: int,
              out: dict[int, int] | None = None, scale: int = 1) -> dict[int, int]:
     """Add scale * a * b into out, skipping every pair whose key sum reaches limit."""
     if len(a) > len(b):
@@ -362,17 +360,13 @@ def _product(a: Form, b: Form, limit: int | None,
     if out is None:
         out = {}
     get = out.get
-    b_keys = [k for k, _ in b] if limit is not None else None
+    b_keys = [k for k, _ in b]
     for ka, ca in a:
-        if b_keys is None:
-            reach = b
-        else:
-            stop = bisect_left(b_keys, limit - ka)
-            if not stop:
-                break  # a is sorted: later terms reach no further
-            reach = b[:stop]
+        stop = bisect_left(b_keys, limit - ka)
+        if not stop:
+            break  # a is sorted: later terms reach no further
         ca *= scale
-        for kb, cb in reach:
+        for kb, cb in b[:stop]:
             k = ka + kb
             out[k] = get(k, 0) + ca * cb
     return out
@@ -400,16 +394,17 @@ def substitute(f: Poly, images: Sequence[Poly], cap: int | None = None) -> Poly:
     if cap is not None and cap < 0:
         raise PolyError("truncation degree must be non-negative")
 
-    # every term formed on the way, the images' own included, has degree <= top
+    # every term formed on the way, the images' own included, has degree <= top,
+    # so without a cap (or above top) the sum truncated at top is the whole sum
     image_degrees = [0 if g.is_zero() else degree(g) for g in images]
     top = max([*image_degrees, *(sum(map(operator.mul, m, image_degrees)) for m in f.terms)])
-    code = _Packing(len(target), top, cap)
+    code = _Grlex(len(target), top if cap is None else min(cap, top))
     limit = code.limit
     one: Form = [(0, 1)]
 
     # integer forms of the images, and their capped powers
     packed = [code.pack(g) for g in images]
-    powers: list[list[Form]] = [[one, form] for form, _ in packed]
+    powers: list[list[Form]] = [[one, sorted(form.items())] for form, _ in packed]
 
     def image_power(i: int, e: int) -> Form:
         cache = powers[i]
@@ -434,7 +429,7 @@ def substitute(f: Poly, images: Sequence[Poly], cap: int | None = None) -> Poly:
             head = _sorted_form(_product(head, g, limit))
         _product(head, factors[-1] if factors else one, limit, acc,
                  coeff.numerator * (common // den))
-    return code.unpack(acc.items(), common, tuple(target))
+    return code.unpack(acc, common, tuple(target))
 
 
 def shears(
@@ -457,19 +452,20 @@ def shears(
     the content keeps D the lcm of the reduced denominators, as pack builds
     it, so the result does not depend on J.
     """
-    code = _Packing(f.arity, cap + 1, cap)  # products pass the cap: truncate there
-    form, den = code.pack(f)
-    base, place, unit, limit = code.base, code.places[i], code.lead, code.limit
-    v = place + unit  # the key of v; adding it multiplies by v
+    code = _Grlex(f.arity, cap)
+    packed, den = code.pack(f)
+    form = sorted(packed.items())
+    base, unit, place, limit = code.base, code.lead, code.places[i], code.limit
+    v = code.units[i]  # the key of v; adding it multiplies by v
     pure = k * v
     shift = (k - 1) * v
     for degree in degrees:
-        # form is sorted by key, and the keys of degree d lie in [d, d + 1) * unit
+        # form is sorted by key, and the keys of degree d lie in ((d - 1) * unit, d * unit]
         targets = [
             (key - shift, c)
-            for key, c in form[bisect_left(form, (degree * unit,)):
-                               bisect_left(form, ((degree + 1) * unit,))]
-            if (key // place) % base >= k - 1 and key != pure
+            for key, c in form[bisect_left(form, ((degree - 1) * unit + 1,)):
+                               bisect_left(form, (degree * unit + 1,))]
+            if -key % unit // place % base >= k - 1 and key != pure
         ]
         if not targets:
             continue
@@ -478,15 +474,16 @@ def shears(
         u = [(key, -q * c) for key, c in targets]  # -q * S, sorted as form is
         if steps is not None:
             images = [Poly.variable(f.vars, j) for j in range(f.arity)]
-            images[i] = code.unpack(_sorted_form({v: p, **dict(u)}), p, f.vars)
+            images[i] = code.unpack({v: p, **dict(u)}, p, f.vars)
             steps.append(tuple(images))
         # the Taylor parts G_j, without the terms whose degree e + j * (degree
         # - k) in G_j * S^j is past the cap; form is sorted, and so is each G_j
         growth = degree - k
         taylor: list[Form] = []
         for key, c in form:
-            a = (key // place) % base
-            reach = min(a, (cap - key // unit) // growth) if growth else a
+            a = -key % unit // place % base
+            # -key // unit is minus the degree of the term
+            reach = min(a, (cap + -key // unit) // growth) if growth else a
             while len(taylor) <= reach:
                 taylor.append([])
             for j in range(reach + 1):
@@ -504,7 +501,7 @@ def shears(
         if content > 1:
             form = [(key, c // content) for key, c in form]
             den //= content
-    return code.unpack(form, den, f.vars)
+    return code.unpack(dict(form), den, f.vars)
 
 
 def split_square(
@@ -518,10 +515,13 @@ def split_square(
     shears against c * x_1^2 at the degrees 2..cap remove every other term
     involving x_1 (the splitting lemma).  Applying the changes of
     coordinates, recorded in steps as the images of the variables when steps
-    is given, to f and truncating gives c * x_1^2 + g exactly.
+    is given, to f and truncating gives c * x_1^2 + g exactly.  A germ in one
+    variable, of order other than 2, or a cap below 2 raises PolyError.
     """
     vars = f.vars
     n = len(vars)
+    if n < 2 or order(f) != 2 or cap < 2:
+        raise PolyError("splitting needs a germ in 2 or more variables of order 2, and cap >= 2")
     current = jet(f, cap)
     quad = {m: c for m, c in current.terms.items() if monomial_degree(m) == 2}
     pivot = next((i for i in range(n) if _square(n, i) in quad), None)

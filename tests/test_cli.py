@@ -89,10 +89,12 @@ def test_duval_split_branches_output_is_byte_identical():
 def test_every_subcommand_output_is_byte_identical():
     # complete stdout per call, so the report envelope (command, echo of
     # the inputs, warnings, version) is pinned byte for byte: every
-    # subcommand, a wps batch, and --pretty before and after the subcommand
+    # subcommand, a wps batch, --pretty before and after the subcommand, and
+    # the milnor germs that run the split and the echelon together (a dense
+    # mu = tau = 24, x^2+y^2+z^30 past the default cap, the non-isolated xyz)
     data = Path(__file__).parent / "data"
     cases = json.loads((data / "cli_golden.json").read_text(encoding="utf-8"))
-    assert len(cases) == 13
+    assert len(cases) == 16
     # the argument parser is built once per process: a rejected argv before
     # each case must leave it as it was
     rejected = (["frobnicate"], ["duval"], ["milnor", "--germ", "x^2", "--cap", "many"])

@@ -587,22 +587,18 @@ def test_in_m2_image_matches_fraction_reference():
 
 @pytest.mark.parametrize("nvars", range(1, 5))
 def test_grlex_keys(nvars):
+    # the cached keys below degree N are poly's layout at cap N - 1 (its own
+    # properties are tested in test_poly.test_grlex_layout): in grlex order,
+    # decoding back, and cut at each degree by a binomial count
     rng = random.Random(139 + nvars)
     for bound in range(1, 11):
-        grlex = locdef._grlex(nvars, bound)
+        grlex, keys = locdef._grlex(nvars, bound)
+        assert (grlex.base, grlex.limit) == (bound + 1, (bound - 1) * grlex.lead + 1)
         below = locdef.monomials_below(nvars, bound)
-        # the integer order is grlex below degree N, and keys decode back
         shuffled = rng.sample(below, len(below))
         assert sorted(shuffled, key=grlex.key) == sorted(shuffled, key=grlex_key)
-        assert grlex.keys == tuple(map(grlex.key, below))
-        assert [grlex.monomial(k) for k in grlex.keys] == below
-        # every monomial up to 3N in degree, pure powers far beyond it, and
-        # monomials with one exponent above the base
-        monos = locdef.monomials_below(nvars, min(3 * bound, 12))
-        monos += [tuple(e if i == j else 0 for j in range(nvars))
-                  for i in range(nvars) for e in range(30, 33)]
-        monos += [tuple(rng.randint(0, 4 * bound) for _ in range(nvars)) for _ in range(40)]
-        for m in monos:
-            assert (grlex.key(m) <= grlex.top) == (sum(m) < bound), (m, bound)
-        for a, b in itertools.islice(itertools.product(rng.sample(monos, 30), repeat=2), 300):
-            assert grlex.key(P.monomial_mul(a, b)) == grlex.key(a) + grlex.key(b)
+        assert keys == tuple(map(grlex.key, below)) == tuple(sorted(keys))
+        assert grlex.monomials(keys) == below
+        for degree in range(1, bound + 1):
+            prefix = keys[:math.comb(degree - 1 + nvars, nvars)]
+            assert prefix == tuple(k for k, m in zip(keys, below) if sum(m) < degree)

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 import string
@@ -386,3 +387,54 @@ def test_split_square_verifies_by_substitution(vars):
             swaps += any(images != identity and set(images) == set(identity) for images in steps)
             crosses += any(images[t] - identity[t] in identity for images in steps for t in range(n))
     assert swaps and crosses
+
+
+def test_split_square_rejects_bad_input():
+    # order 3, order 1, a cap below 2 and one variable: input errors, not
+    # internal ones
+    for text, vars, cap in (("x^3+y^3", ("x", "y"), 5), ("x+x^2+y^2", ("x", "y"), 5),
+                            ("x^2+y^2", ("x", "y"), 1), ("x^2", ("x",), 5)):
+        f = P.parse_poly(text, vars)
+        with pytest.raises(P.PolyError):
+            P.split_square(f, cap)
+
+
+# -- the monomial key layout ----------------------------------------------
+
+
+def _monomials_up_to(nvars, degree):
+    return [m for m in itertools.product(range(degree + 1), repeat=nvars) if sum(m) <= degree]
+
+
+@pytest.mark.parametrize("nvars", range(1, 5))
+def test_grlex_layout(nvars):
+    rng = random.Random(149 + nvars)
+    vars = tuple(f"x{i}" for i in range(nvars))
+    for cap in range(10):
+        grlex = P._Grlex(nvars, cap)
+        base, lead = grlex.base, grlex.lead
+        # up to degree cap + 1 every exponent is a digit: the keys of degree d
+        # fill ((d - 1) * B^n, d * B^n] in grlex order, and x_i's exponent is
+        # digit i of -key mod B^n
+        within = _monomials_up_to(nvars, cap + 1)
+        shuffled = rng.sample(within, len(within))
+        assert sorted(shuffled, key=grlex.key) == sorted(shuffled, key=P.grlex_key)
+        keys = list(map(grlex.key, within))
+        assert grlex.monomials(keys) == within
+        for m, key in zip(within, keys):
+            assert (sum(m) - 1) * lead < key <= sum(m) * lead, (m, cap)
+            assert [-key % lead // place % base for place in grlex.places] == list(m)
+        # every monomial up to degree 12, pure powers far beyond it, and
+        # monomials with exponents above the base: key < limit is degree <= cap
+        monos = _monomials_up_to(nvars, 12)
+        monos += [tuple(e if i == j else 0 for j in range(nvars))
+                  for i in range(nvars) for e in range(30, 33)]
+        monos += [tuple(rng.randint(0, 4 * cap + 4) for _ in range(nvars)) for _ in range(40)]
+        for m in monos:
+            assert (grlex.key(m) < grlex.limit) == (sum(m) <= cap), (m, cap)
+        for a, b in itertools.islice(itertools.product(rng.sample(monos, 30), repeat=2), 300):
+            assert grlex.key(P.monomial_mul(a, b)) == grlex.key(a) + grlex.key(b)
+        # packing keeps the terms within the cap, over one denominator
+        for _ in range(10):
+            f = random_poly(rng, vars, max_terms=8, max_degree=3 * cap + 6, max_denominator=9)
+            assert grlex.unpack(*grlex.pack(f), vars) == P.jet(f, cap), P.render(f)
