@@ -19,7 +19,7 @@ and O_2/(J_g + m^N) are isomorphic for every N and mu(x^2 + g) = mu(g)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import locdef
@@ -276,16 +276,7 @@ def classify_germ(f: Poly, truncation: int | None = None) -> SingularityReport:
             _lift_plane_poly(images[0], vars),
             _lift_plane_poly(images[1], vars),
         ))
-    return SingularityReport(
-        verdict=inner.verdict,
-        family=inner.family,
-        index=inner.index,
-        milnor=inner.milnor,
-        recommendation=inner.recommendation,
-        normalization=tuple(lifted),
-        residual=inner.residual,
-        quadratic_coefficient=quad_coeff,
-    )
+    return replace(inner, normalization=tuple(lifted), quadratic_coefficient=quad_coeff)
 
 
 def _lift_plane_poly(p: Poly, vars: tuple[str, ...]) -> Poly:

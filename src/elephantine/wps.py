@@ -9,7 +9,10 @@ quotient type.  Deeper strata are not searched; that limitation is part of
 the report.  Each coordinate line is read off f once: one pass over its
 terms gives the line forms, f and every partial restricted to the line as
 univariate coefficient lists on the chart x_i = 1, and the stratum report
-works on those lists alone.
+works on those lists alone: one gcd chain through the partials sorts the
+line's points by the first partial nonzero at each, and the points where
+none is nonzero, which lie on f by Euler's formula, are the
+non-quasi-smooth ones.
 
 Anticanonical data (degree, monomial basis of sections, and the elephant
 equation when the unique section is a coordinate) also lives here, including
@@ -216,6 +219,8 @@ def vertex_report(surface: WpsHypersurface, i: int) -> VertexReport:
     """
     f = surface.equation
     n = f.arity
+    if not 0 <= i < n:
+        raise WpsError(f"coordinate index must lie in 0..{n - 1}, got {i}")
     w = surface.weights[i]
     pure = any(
         all(e == 0 for k, e in enumerate(mono) if k != i) for mono in f.terms
@@ -295,19 +300,26 @@ def stratum_report(surface: WpsHypersurface, i: int, j: int) -> StratumReport:
     """Inventory for the one-dimensional stratum {x_k = 0 for k not in {i, j}}.
 
     One read of f gives the line forms: the equation and every partial on
-    the line, as univariate lists in x_j on the chart x_i = 1.  Their common
-    zeros off the vertices are counted exactly (squarefree degree) and then
-    identified under the residual mu_{w_i} action on that chart, whose
-    effective order is w_i / gcd(w_i, w_j).  Points where every partial
-    vanishes are non-quasi-smooth; the rest, when the stabilizer is
-    nontrivial, are quotient points whose transverse type eliminates the
-    first variable with generically nonvanishing restricted partial.
+    the line, as univariate lists in x_j on the chart x_i = 1.  One gcd
+    chain sorts the line's points.  It starts from the distinct nonzero
+    roots of f (of the first nonzero partial when the line lies in f) and,
+    partial by partial, splits off the roots where that partial is the first
+    nonzero one: quasi-smooth points, reported as quotient points when the
+    stabilizer is nontrivial, with that partial's variable eliminated.  By
+    Euler's formula d*f = w_i*x_i*df/dx_i + w_j*x_j*df/dx_j, f vanishes
+    wherever every partial does, so what the chain leaves over is exactly
+    the non-quasi-smooth set.  Roots are counted exactly (squarefree degree)
+    and identified under the residual mu_{w_i} action on the chart, whose
+    effective order is w_i / gcd(w_i, w_j).
     """
+    f = surface.equation
+    n = f.arity
     if i == j:
         raise WpsError("stratum needs two distinct coordinates")
+    if not (0 <= i < n and 0 <= j < n):
+        raise WpsError(f"coordinate indices must lie in 0..{n - 1}, got {i} and {j}")
     if i > j:
         i, j = j, i
-    f = surface.equation
     wi, wj = surface.weights[i], surface.weights[j]
     stab = gcd(wi, wj)
     residual_order = wi // stab
@@ -315,24 +327,6 @@ def stratum_report(surface: WpsHypersurface, i: int, j: int) -> StratumReport:
     forms, at_vertex = _line_forms(f, i, j)
     system = [form for form in forms if form]
     contained = not forms[0]
-    if not system:
-        return StratumReport(
-            pair=(i, j),
-            variables=(f.vars[i], f.vars[j]),
-            stabilizer=stab,
-            contained=True,
-            entirely_singular=True,
-            quotient_curve=stab > 1,
-            batches=(),
-            vertex_flags=(f.vars[i], f.vars[j]),
-        )
-
-    # distinct nonzero common zeros of the singular system, in the x_i = 1 chart
-    sing = system[0]
-    for form in system[1:]:
-        sing = _uni_gcd(sing, form)
-    sing = _uni_strip_origin(sing)
-    sing = _uni_squarefree(sing) if sing else sing
 
     vertex_flags = []
     if all(form[0] == 0 for form in system):
@@ -340,26 +334,44 @@ def stratum_report(surface: WpsHypersurface, i: int, j: int) -> StratumReport:
     if not any(at_vertex):
         vertex_flags.append(f.vars[j])
 
+    # distinct nonzero points of the line on the surface, in the x_i = 1 chart
+    points = _uni_squarefree(_uni_strip_origin(system[0] if system else []))
+    quotient_points = not contained and stab > 1
     batches: list[StratumPointBatch] = []
-    if sing and _uni_deg(sing) >= 1:
-        count = _orbit_count(_uni_deg(sing), residual_order)
+    for k, pk in enumerate(forms[1:]):
+        if _uni_deg(points) < 1:
+            break
+        if not pk:
+            continue
+        shared = _uni_gcd(points, pk)
+        batch_poly = _uni_exact_div(points, shared)
+        points = shared
+        if not quotient_points or _uni_deg(batch_poly) < 1:
+            continue
+        chart = i if k != i else j
+        transverse = tuple(surface.weights[m] for m in range(n) if m not in (chart, k))
+        quotient = QuotientType(stab, transverse)
         batches.append(
             StratumPointBatch(
-                count=count,
-                point_poly=_uni_render(sing, f.vars[j]),
-                quasi_smooth=False,
+                count=_orbit_count(_uni_deg(batch_poly), residual_order),
+                point_poly=_uni_render(batch_poly, f.vars[j]),
+                quasi_smooth=True,
                 stabilizer=stab,
+                eliminated=f.vars[k],
+                chart_variable=f.vars[chart],
+                quotient=quotient,
+                normalized=normalize_type(quotient),
             )
         )
-
-    quotient_curve = contained and stab > 1
-    if not contained and stab > 1:
-        roots = _uni_strip_origin(forms[0])
-        roots = _uni_squarefree(roots) if roots else roots
-        if sing and _uni_deg(sing) >= 1:
-            roots = _uni_exact_div(roots, _uni_gcd(roots, sing)) if roots else roots
-        batches.extend(
-            _quotient_batches(surface, i, j, roots, forms[1:], stab, residual_order)
+    if _uni_deg(points) >= 1:
+        batches.insert(
+            0,
+            StratumPointBatch(
+                count=_orbit_count(_uni_deg(points), residual_order),
+                point_poly=_uni_render(points, f.vars[j]),
+                quasi_smooth=False,
+                stabilizer=stab,
+            ),
         )
 
     return StratumReport(
@@ -367,8 +379,8 @@ def stratum_report(surface: WpsHypersurface, i: int, j: int) -> StratumReport:
         variables=(f.vars[i], f.vars[j]),
         stabilizer=stab,
         contained=contained,
-        entirely_singular=False,
-        quotient_curve=quotient_curve,
+        entirely_singular=not system,
+        quotient_curve=contained and stab > 1,
         batches=tuple(batches),
         vertex_flags=tuple(vertex_flags),
     )
@@ -381,48 +393,6 @@ def _orbit_count(distinct_roots: int, residual_order: int) -> int:
             f"root count {distinct_roots} not divisible by the residual order {residual_order}"
         )
     return distinct_roots // residual_order
-
-
-def _quotient_batches(
-    surface: WpsHypersurface,
-    i: int,
-    j: int,
-    roots: list[Fraction],
-    partials: list[list[Fraction]],
-    stab: int,
-    residual_order: int,
-):
-    """Split quasi-smooth stratum points by their eliminated variable."""
-    f = surface.equation
-    n = f.arity
-    remaining = roots
-    for k, pk in enumerate(partials):
-        if not remaining or _uni_deg(remaining) < 1:
-            break
-        if not pk:
-            continue
-        shared = _uni_gcd(remaining, pk)
-        batch_poly = _uni_exact_div(remaining, shared)
-        remaining = shared
-        if _uni_deg(batch_poly) < 1:
-            continue
-        chart = i if k != i else j
-        transverse = tuple(
-            surface.weights[m] for m in range(n) if m not in (chart, k)
-        )
-        quotient = QuotientType(stab, transverse)
-        yield StratumPointBatch(
-            count=_orbit_count(_uni_deg(batch_poly), residual_order),
-            point_poly=_uni_render(batch_poly, f.vars[j]),
-            quasi_smooth=True,
-            stabilizer=stab,
-            eliminated=f.vars[k],
-            chart_variable=f.vars[chart],
-            quotient=quotient,
-            normalized=normalize_type(quotient),
-        )
-    if remaining and _uni_deg(remaining) >= 1:
-        raise InvariantError("quasi-smooth points left unassigned")
 
 
 # -- anticanonical data --------------------------------------------------

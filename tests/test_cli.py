@@ -92,9 +92,11 @@ def test_every_subcommand_output_is_byte_identical():
     # subcommand, a wps batch, --pretty before and after the subcommand, and
     # the milnor germs that run the split and the echelon together (a dense
     # mu = tau = 24, x^2+y^2+z^30 past the default cap, the non-isolated xyz)
+    # and a wps batch of coordinate strata that are entirely singular, a
+    # quotient curve, or hold non-quasi-smooth points beside quotient points
     data = Path(__file__).parent / "data"
     cases = json.loads((data / "cli_golden.json").read_text(encoding="utf-8"))
-    assert len(cases) == 16
+    assert len(cases) == 17
     # the argument parser is built once per process: a rejected argv before
     # each case must leave it as it was
     rejected = (["frobnicate"], ["duval"], ["milnor", "--germ", "x^2", "--cap", "many"])

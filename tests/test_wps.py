@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -277,6 +278,13 @@ def _reference_line_forms(f, i, j):
     return forms, at_vertex
 
 
+def _uni_sum(a, b):
+    width = max(len(a), len(b))
+    return wps._uni_trim([
+        (a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0) for k in range(width)
+    ])
+
+
 def test_line_forms_match_restricted_partials():
     rng = random.Random(8)
     names = ("x", "y", "z", "t", "w")
@@ -294,10 +302,161 @@ def test_line_forms_match_restricted_partials():
         for i in range(n):
             for j in range(n):
                 if i != j:
-                    assert wps._line_forms(X.equation, i, j) == _reference_line_forms(X.equation, i, j)
+                    forms, at_vertex = wps._line_forms(X.equation, i, j)
+                    assert (forms, at_vertex) == _reference_line_forms(X.equation, i, j)
+                    # Euler on the chart x_i = 1, x_j = t: d*F = w_i*P_i + w_j*t*P_j,
+                    # so F vanishes wherever every partial does
+                    assert [degree * c for c in forms[0]] == _uni_sum(
+                        [weights[i] * c for c in forms[i + 1]],
+                        [Fraction(0)] + [weights[j] * c for c in forms[j + 1]],
+                    )
         for report in wps.analyze(X).strata:
             strata["contained"] += report.contained
             strata["entirely_singular"] += report.entirely_singular
             strata["points"] += bool(report.batches)
     # the sample reaches every kind of stratum the line forms feed
     assert min(strata["contained"], strata["entirely_singular"], strata["points"]) >= 10, strata
+
+
+def _two_pass_stratum_report(X, i, j):
+    # the stratum report as two gcd passes: the common zeros of f and every
+    # partial first, then a chain over the partials for the remaining roots
+    # of f; a line on which every form vanishes is answered before either
+    f = X.equation
+    n = f.arity
+    i, j = min(i, j), max(i, j)
+    wi, wj = X.weights[i], X.weights[j]
+    stab = math.gcd(wi, wj)
+    residual_order = wi // stab
+    forms, at_vertex = _reference_line_forms(f, i, j)
+    system = [form for form in forms if form]
+    contained = not forms[0]
+    pair, names = (i, j), (f.vars[i], f.vars[j])
+    if not system:
+        return wps.StratumReport(pair, names, stab, True, True, stab > 1, (), names)
+    sing = system[0]
+    for form in system[1:]:
+        sing = wps._uni_gcd(sing, form)
+    sing = wps._uni_strip_origin(sing)
+    sing = wps._uni_squarefree(sing) if sing else sing
+    vertex_flags = []
+    if all(form[0] == 0 for form in system):
+        vertex_flags.append(f.vars[i])
+    if not any(at_vertex):
+        vertex_flags.append(f.vars[j])
+    batches = []
+    if sing and wps._uni_deg(sing) >= 1:
+        batches.append(wps.StratumPointBatch(
+            count=wps._orbit_count(wps._uni_deg(sing), residual_order),
+            point_poly=wps._uni_render(sing, f.vars[j]),
+            quasi_smooth=False,
+            stabilizer=stab,
+        ))
+    if not contained and stab > 1:
+        remaining = wps._uni_squarefree(wps._uni_strip_origin(forms[0]))
+        if sing and wps._uni_deg(sing) >= 1:
+            remaining = wps._uni_exact_div(remaining, wps._uni_gcd(remaining, sing))
+        for k, pk in enumerate(forms[1:]):
+            if wps._uni_deg(remaining) < 1:
+                break
+            if not pk:
+                continue
+            shared = wps._uni_gcd(remaining, pk)
+            batch_poly = wps._uni_exact_div(remaining, shared)
+            remaining = shared
+            if wps._uni_deg(batch_poly) < 1:
+                continue
+            chart = i if k != i else j
+            quotient = QuotientType(stab, tuple(X.weights[m] for m in range(n) if m not in (chart, k)))
+            batches.append(wps.StratumPointBatch(
+                count=wps._orbit_count(wps._uni_deg(batch_poly), residual_order),
+                point_poly=wps._uni_render(batch_poly, f.vars[j]),
+                quasi_smooth=True,
+                stabilizer=stab,
+                eliminated=f.vars[k],
+                chart_variable=f.vars[chart],
+                quotient=quotient,
+                normalized=normalize_type(quotient),
+            ))
+        # every root of f off the non-quasi-smooth set has a nonzero partial
+        assert wps._uni_deg(remaining) < 1
+    return wps.StratumReport(
+        pair, names, stab, contained, False, contained and stab > 1, tuple(batches), tuple(vertex_flags)
+    )
+
+
+def _random_surface(rng):
+    names = ("x", "y", "z", "t", "w")
+    n = rng.randint(3, 5)
+    weights = [rng.randint(1, 4) for _ in range(n)]
+    if rng.random() < 0.3:
+        # a common factor on all weights but one: not well-formed
+        factor = rng.choice((2, 3))
+        weights = [w * factor if k else w for k, w in enumerate(weights)]
+    weights = tuple(weights)
+    half = rng.randint(1, 6)
+    monos = wps.monomials_of_weighted_degree(weights, half)
+    if not monos:
+        return None
+
+    def form(monos, size):
+        chosen = rng.sample(monos, min(len(monos), size))
+        return P.Poly(names[:n], {m: Fraction(rng.randint(-3, 3) or 1) for m in chosen})
+
+    if rng.random() < 0.4:
+        # products of two or three forms from a pool of two: squares put
+        # repeated roots on the lines, and g^2*h simple ones beside them
+        pool = [form(monos, rng.randint(1, 3)) for _ in range(2)]
+        factors = [rng.choice(pool) for _ in range(rng.choice((2, 3, 3)))]
+        degree = len(factors) * half
+        f = factors[0]
+        for factor in factors[1:]:
+            f = f * factor
+        if rng.random() < 0.3:
+            f = f + form(wps.monomials_of_weighted_degree(weights, degree), 1)
+    else:
+        shape = rng.random()
+        degree = 2 * half if shape < 0.5 else half
+        f = form(wps.monomials_of_weighted_degree(weights, degree), rng.randint(1, 6))
+    if f.is_zero():
+        return None
+    return WpsHypersurface(weights, degree, f)
+
+
+def test_stratum_report_matches_two_pass_reference():
+    rng = random.Random(21)
+    seen = Counter()
+    surfaces = 0
+    while surfaces < 2000:
+        X = _random_surface(rng)
+        if X is None:
+            continue
+        surfaces += 1
+        seen["not_wellformed"] += not wps.wellformed(X.weights)
+        n = len(X.weights)
+        for i in range(n):
+            for j in range(i + 1, n):
+                report = wps.stratum_report(X, j, i)
+                assert report == _two_pass_stratum_report(X, i, j), (X, i, j)
+                kinds = {batch.quasi_smooth for batch in report.batches}
+                seen["contained"] += report.contained
+                seen["entirely_singular"] += report.entirely_singular
+                seen["quotient_curve"] += report.quotient_curve
+                seen["non_qs_on_line_not_in_f"] += not report.contained and False in kinds
+                seen["quotient_points"] += True in kinds
+                seen["both_kinds"] += kinds == {False, True}
+    # the sample reaches every branch of the report
+    assert min(seen.values()) >= 10 and len(seen) == 7, seen
+
+
+def test_coordinate_indices_out_of_range_are_input_errors():
+    n = len(X15A.weights)
+    for i in (-1, n):
+        with pytest.raises(WpsError):
+            wps.vertex_report(X15A, i)
+        with pytest.raises(WpsError):
+            wps.stratum_report(X15A, 0, i)
+        with pytest.raises(WpsError):
+            wps.stratum_report(X15A, i, 0)
+    # in range, the last vertex is read as before: w2^3 is a pure power
+    assert not wps.vertex_report(X15A, n - 1).on_hypersurface
