@@ -114,8 +114,6 @@ def _run_blowup(args) -> tuple[dict, list[str]]:
     names = _split_names(args.vars) if args.vars else wblow.default_vars(q.arity)
     if len(names) != q.arity:
         raise InputError(f"need {q.arity} variable names, got {len(names)}")
-    if not wblow.check_primitive(q, v):
-        raise InputError(f"weight vector {v} is not primitive in the lattice of {render_type(q)}")
     warnings: list[str] = []
     result: dict = {
         "type": render_type(q),
@@ -269,7 +267,7 @@ def _wps_surface(
     analysis = wps_mod.analyze(surface)
     result["equation"] = P.render(equation)
     result["sections"] = [_mono_str(m, names) for m in analysis.sections]
-    result["vertices"] = [_vertex_record(v, names) for v in analysis.vertices]
+    result["vertices"] = [_vertex_record(v) for v in analysis.vertices]
     result["strata"] = [_stratum_record(s) for s in analysis.strata]
     result["inventory"] = [asdict(entry) for entry in analysis.inventory]
     result["elephant"] = _elephant_record(analysis.elephant)
@@ -280,7 +278,7 @@ def _wps_surface(
     return result, warnings
 
 
-def _vertex_record(v: wps_mod.VertexReport, names) -> dict:
+def _vertex_record(v: wps_mod.VertexReport) -> dict:
     record = {
         "variable": v.variable,
         "weight": v.weight,

@@ -7,14 +7,14 @@ too.  Its truncated shears run in poly.shears, the one shear kernel, on one
 packed integer form of the jet (packed once, unpacked once).  A germ that
 is exactly c*x^2 after linear steps is singular along a surface.  g is
 then run through the jet case tree: order 2 gives type A, a 3-jet with two
-distinct factors gives type D, a perfect-cube 3-jet is normalized to y^3
-and the 4- and 5-jet coefficients, after two more shears on the packed
-form, decide E6/E7/E8 or, failing all of those, the (3, 2, 1) weighted
-blow-up with discrepancy -1.  A and D indices come from the Milnor-number
-oracle; every Du Val verdict is cross-checked against it.  The oracle runs
-on g itself: the Jacobian ideal of x^2 + g contains x, so O_3/(J + m^N)
-and O_2/(J_g + m^N) are isomorphic for every N and mu(x^2 + g) = mu(g)
-(Sebastiani-Thom).
+distinct factors gives type D, and a perfect-cube 3-jet is brought to
+y^3 by the shears at degrees 3, 4 and 5 (after exchanging y and z when the
+cube is c*z^3); the 4- and 5-jet coefficients then decide E6/E7/E8 or,
+failing all of those, the (3, 2, 1) weighted blow-up with discrepancy -1.
+A and D indices come from the Milnor-number oracle; every Du Val verdict
+is cross-checked against it.  The oracle runs on g itself: the Jacobian
+ideal of x^2 + g contains x, so O_3/(J + m^N) and O_2/(J_g + m^N) are
+isomorphic for every N and mu(x^2 + g) = mu(g) (Sebastiani-Thom).
 """
 
 from __future__ import annotations
@@ -167,28 +167,18 @@ def classify_double_point(g: Poly, truncation: int | None = None) -> Singularity
     steps: list[Step] = []
     family, index = "A", None
     if g_order == 3:
-        ell = perfect_cube_root(P.jet(g, 3))
-        family = "D" if ell is None else "E"
+        family = "D" if perfect_cube_root(P.jet(g, 3)) is None else "E"
     if family == "E":
-        # move the unique linear factor to the first coordinate
-        y = Poly.variable(g.vars, 0)
-        z = Poly.variable(g.vars, 1)
-        alpha_coeff = ell.coefficient((1, 0))
-        beta_coeff = ell.coefficient((0, 1))
-        if alpha_coeff != 0:
-            images = [(y - beta_coeff * z) * (Fraction(1) / alpha_coeff), z]
-        else:
-            images = [z, y]
-        if images != [y, z]:
-            steps.append(tuple(images))
-            g = P.substitute(g, images, cap=n_trunc)
-
+        # a cube c * z^3 moves to y by swapping exponents; the shear at degree
+        # 3, y -> y - b/(3a) * z, takes a cube a * (y + b/(3a) * z)^3 to a * y^3,
+        # and the shears at degrees 4 and 5 remove the terms divisible by y^2
+        if g.coefficient((3, 0)) == 0:
+            steps.append((Poly.variable(g.vars, 1), Poly.variable(g.vars, 0)))
+            g = Poly(g.vars, {(b, a): c for (a, b), c in g.terms.items()})
         cube_coeff = g.coefficient((3, 0))
-        if cube_coeff == 0 or P.jet(g, 3) != cube_coeff * y ** 3:
+        g = P.shears(g, 0, 3, cube_coeff, (3, 4, 5), n_trunc, steps)
+        if P.jet(g, 3) != cube_coeff * Poly.variable(g.vars, 0) ** 3:
             raise InvariantError("cube normalization did not give a multiple of y^3")
-
-        # shear away the degree-4 and degree-5 terms divisible by y^2
-        g = P.shears(g, 0, 3, cube_coeff, (4, 5), n_trunc, steps)
 
         # alpha z^4, beta y z^3 and gamma z^5 decide E6, E7 and E8
         if g.coefficient((0, 4)) != 0:

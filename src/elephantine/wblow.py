@@ -144,7 +144,6 @@ def _prime_divisors(n: int) -> list[int]:
 
 def charts(q: QuotientType, v: WeightVector, vars: tuple[str, ...] | None = None) -> list[Chart]:
     """The n affine charts of the weighted blow-up."""
-    _check_compatible(q, v)
     if not check_primitive(q, v):
         raise BlowupError(f"weight vector {v} is not primitive in the lattice of {q}")
     n = v.arity
@@ -172,7 +171,6 @@ def default_vars(n: int) -> tuple[str, ...]:
 
 def canonical_discrepancy(q: QuotientType, v: WeightVector) -> Fraction:
     """Coefficient of the exceptional divisor in K: (sum(b_i) - r)/r."""
-    _check_compatible(q, v)
     if not check_primitive(q, v):
         raise BlowupError(f"weight vector {v} is not primitive in the lattice of {q}")
     return Fraction(sum(v.numerators) - q.r, q.r)

@@ -211,35 +211,26 @@ class VertexReport:
 def vertex_report(surface: WpsHypersurface, i: int) -> VertexReport:
     """Inventory entry for the i-th coordinate point.
 
-    The point lies on the hypersurface iff no pure power of x_i occurs.  On
-    it, quasi-smoothness holds iff some term x_i^m x_j appears; the variable
-    x_j of least index is then eliminated and the transverse quotient type is
-    1/w_i of the remaining weights.  Otherwise the chart equation at x_i = 1
-    and the residual action are reported verbatim.
+    One pass over the terms: the point lies on the hypersurface iff no pure
+    power of x_i occurs.  On it, quasi-smoothness holds iff some term
+    x_i^m x_j appears; the variable x_j of least index is then eliminated and
+    the transverse quotient type is 1/w_i of the remaining weights.
+    Otherwise the chart equation at x_i = 1 and the residual action are
+    reported verbatim.
     """
     f = surface.equation
     n = f.arity
     if not 0 <= i < n:
         raise WpsError(f"coordinate index must lie in 0..{n - 1}, got {i}")
     w = surface.weights[i]
-    pure = any(
-        all(e == 0 for k, e in enumerate(mono) if k != i) for mono in f.terms
-    )
-    if pure:
-        return VertexReport(
-            index=i, variable=f.vars[i], weight=w, on_hypersurface=False
-        )
-    eliminated = None
-    for j in range(n):
-        if j == i:
-            continue
-        if any(
-            mono[j] == 1 and all(e == 0 for k, e in enumerate(mono) if k not in (i, j))
-            for mono in f.terms
-        ):
-            eliminated = j
-            break
-    if eliminated is None:
+    eliminated = n  # the least j of a term x_i^m x_j; n while there is none
+    for mono in f.terms:
+        off = [k for k, e in enumerate(mono) if e and k != i]
+        if not off:
+            return VertexReport(index=i, variable=f.vars[i], weight=w, on_hypersurface=False)
+        if len(off) == 1 and mono[off[0]] == 1:
+            eliminated = min(eliminated, off[0])
+    if eliminated == n:
         chart_vars = tuple(f.vars[k] for k in range(n) if k != i)
         chart_eq = P.assign(f, {i: 1})
         action = QuotientType(w, tuple(surface.weights[k] for k in range(n) if k != i))

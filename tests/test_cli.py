@@ -91,12 +91,14 @@ def test_every_subcommand_output_is_byte_identical():
     # the inputs, warnings, version) is pinned byte for byte: every
     # subcommand, a wps batch, --pretty before and after the subcommand, and
     # the milnor germs that run the split and the echelon together (a dense
-    # mu = tau = 24, x^2+y^2+z^30 past the default cap, the non-isolated xyz)
-    # and a wps batch of coordinate strata that are entirely singular, a
-    # quotient curve, or hold non-quasi-smooth points beside quotient points
+    # mu = tau = 24, x^2+y^2+z^30 past the default cap, the non-isolated xyz),
+    # a wps batch of coordinate strata that are entirely singular, a
+    # quotient curve, or hold non-quasi-smooth points beside quotient points,
+    # and E6 germs whose cube is normalized by a swap of y and z and by the
+    # shear y -> y - z
     data = Path(__file__).parent / "data"
     cases = json.loads((data / "cli_golden.json").read_text(encoding="utf-8"))
-    assert len(cases) == 17
+    assert len(cases) == 19
     # the argument parser is built once per process: a rejected argv before
     # each case must leave it as it was
     rejected = (["frobnicate"], ["duval"], ["milnor", "--germ", "x^2", "--cap", "many"])
@@ -202,6 +204,11 @@ def test_exit_code_2_on_bad_input():
         code, out, err = run_cli(argv)
         assert code == 2, argv
         assert err.strip()
+    # a weight vector in the lattice but not primitive there
+    for subcommand in ("blowup", "charts"):
+        code, out, err = run_cli([subcommand, "--type", "1/2(1,1,1)", "--weights", "1/2(2,2,2)"])
+        assert code == 2 and out == ""
+        assert "weight vector 1/2(2,2,2) is not primitive in the lattice of 1/2(1,1,1)" in err
 
 
 def test_duval_truncation_below_two_is_input_error():

@@ -432,8 +432,8 @@ def _brieskorn(*exponents):
 
 
 # (principal monomials, weights) of every germ-classify family of order 2:
-# A_n, D_n, E6, E7, E8, J211 and J321.  Terms of weighted degree above 1
-# keep the family.
+# A_n, D_n, E6, E7, E8, J211 and J321, then E6 and E7 with the cube in z.
+# Terms of weighted degree above 1 keep the family.
 _SPLIT_FAMILIES = (
     [_brieskorn(2, 2, n + 1) for n in (1, 4, 7, 11)]
     + [([(2, 0, 0), (0, 2, 1), (0, 0, n - 1)],
@@ -443,6 +443,8 @@ _SPLIT_FAMILIES = (
        _brieskorn(2, 3, 5)]
     + [_brieskorn(2, a, b) for a, b in ((4, 4), (4, 6), (5, 5))]
     + [_brieskorn(2, 3, b) for b in (6, 8, 9)]
+    + [_brieskorn(2, 4, 3),
+       ([(2, 0, 0), (0, 0, 3), (0, 3, 1)], (Fraction(1, 2), Fraction(2, 9), Fraction(1, 3)))]
 )
 
 
@@ -476,7 +478,8 @@ def _split_germs():
 
 
 def test_shear_kernel_matches_one_substitution_per_shear():
-    cube_branches = sheared = 0
+    cube_branches = sheared = swapped = 0
+    swap = (Poly.variable(V2, 1), Poly.variable(V2, 0))
     for number, f in enumerate(_split_germs()):
         # every truncation from 2 to 14, and one at 6 or above per germ
         for n_trunc in sorted({2 + number % 13, 14 - number % 9}):
@@ -489,4 +492,5 @@ def test_shear_kernel_matches_one_substitution_per_shear():
             assert (report.normalization, report.residual) == expected, (P.render(g), n_trunc)
             cube_branches += 1
             sheared += any(P.degree(image) > 1 for images in expected[0] for image in images)
-    assert cube_branches >= 10 and sheared >= 5
+            swapped += swap in expected[0]
+    assert cube_branches >= 10 and sheared >= 5 and swapped >= 2

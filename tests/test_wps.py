@@ -385,6 +385,33 @@ def _two_pass_stratum_report(X, i, j):
     )
 
 
+def _two_scan_vertex_report(X, i):
+    # the vertex report as 1 + (n - 1) scans of the terms: one for a pure
+    # power of x_i, then one per j for a term x_i^m x_j
+    f = X.equation
+    n = f.arity
+    w = X.weights[i]
+    if any(all(e == 0 for k, e in enumerate(mono) if k != i) for mono in f.terms):
+        return wps.VertexReport(i, f.vars[i], w, False)
+    eliminated = next((
+        j for j in range(n) if j != i and any(
+            mono[j] == 1 and all(e == 0 for k, e in enumerate(mono) if k not in (i, j))
+            for mono in f.terms
+        )
+    ), None)
+    if eliminated is None:
+        chart_vars = tuple(f.vars[k] for k in range(n) if k != i)
+        action = QuotientType(w, tuple(X.weights[k] for k in range(n) if k != i))
+        return wps.VertexReport(
+            i, f.vars[i], w, True, False,
+            local_model=wps.LocalModel(chart_vars, P.assign(f, {i: 1}), action),
+        )
+    quotient = QuotientType(w, tuple(X.weights[k] for k in range(n) if k not in (i, eliminated)))
+    return wps.VertexReport(
+        i, f.vars[i], w, True, True, f.vars[eliminated], quotient, normalize_type(quotient)
+    )
+
+
 def _random_surface(rng):
     names = ("x", "y", "z", "t", "w")
     n = rng.randint(3, 5)
@@ -424,6 +451,8 @@ def _random_surface(rng):
 
 
 def test_stratum_report_matches_two_pass_reference():
+    # every coordinate point against the two-scan vertex reference, every
+    # coordinate line against the two-pass stratum reference
     rng = random.Random(21)
     seen = Counter()
     surfaces = 0
@@ -435,6 +464,9 @@ def test_stratum_report_matches_two_pass_reference():
         seen["not_wellformed"] += not wps.wellformed(X.weights)
         n = len(X.weights)
         for i in range(n):
+            vertex = wps.vertex_report(X, i)
+            assert vertex == _two_scan_vertex_report(X, i), (X, i)
+            seen[f"vertex_quasi_smooth_{vertex.quasi_smooth}"] += 1
             for j in range(i + 1, n):
                 report = wps.stratum_report(X, j, i)
                 assert report == _two_pass_stratum_report(X, i, j), (X, i, j)
@@ -445,8 +477,8 @@ def test_stratum_report_matches_two_pass_reference():
                 seen["non_qs_on_line_not_in_f"] += not report.contained and False in kinds
                 seen["quotient_points"] += True in kinds
                 seen["both_kinds"] += kinds == {False, True}
-    # the sample reaches every branch of the report
-    assert min(seen.values()) >= 10 and len(seen) == 7, seen
+    # the sample reaches every branch of both reports
+    assert min(seen.values()) >= 10 and len(seen) == 10, seen
 
 
 def test_coordinate_indices_out_of_range_are_input_errors():
