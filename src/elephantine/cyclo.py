@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
 from .poly import Monomial, Poly
@@ -112,19 +111,14 @@ def normalize_type(q: QuotientType) -> QuotientType:
     return QuotientType(q.r, best)
 
 
-@lru_cache(maxsize=None)
-def _terminal_canonical_forms(r: int) -> frozenset[tuple[int, ...]]:
-    forms = set()
-    for a in range(1, r):
-        if gcd(a, r) == 1:
-            forms.add(normalize_type(QuotientType(r, (1, a, r - a))).weights)
-    return frozenset(forms)
-
-
 def is_terminal_3fold(q: QuotientType) -> bool:
-    """Whether q is equivalent to 1/r(1, a, r-a) with a coprime to r."""
+    """Whether q is terminal, by the terminal lemma (Reid 1987).
+
+    1/r(a_1, a_2, a_3) is terminal exactly when every a_i is a unit mod r
+    and two of them sum to 0 mod r: q is 1/r(1, a, r-a) up to a unit
+    multiple and the order of the weights.
+    """
     if q.arity != 3:
         raise QuotientTypeError("terminality test needs exactly 3 weights")
-    if q.r == 1:
-        return True
-    return normalize_type(q).weights in _terminal_canonical_forms(q.r)
+    a1, a2, a3 = q.weights
+    return q.is_isolated() and 0 in ((a1 + a2) % q.r, (a1 + a3) % q.r, (a2 + a3) % q.r)

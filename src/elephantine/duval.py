@@ -6,11 +6,13 @@ poly.split_square, the split that locdef's Milnor and Tjurina numbers use
 too.  Its truncated shears run in poly.shears, the one shear kernel, on one
 packed integer form of the jet (packed once, unpacked once).  A germ that
 is exactly c*x^2 after linear steps is singular along a surface.  g is
-then run through the jet case tree: order 2 gives type A, a 3-jet with two
-distinct factors gives type D, and a perfect-cube 3-jet is brought to
-y^3 by the shears at degrees 3, 4 and 5 (after exchanging y and z when the
-cube is c*z^3); the 4- and 5-jet coefficients then decide E6/E7/E8 or,
-failing all of those, the (3, 2, 1) weighted blow-up with discrepancy -1.
+then run through the jet case tree: order 2 gives type A, and the 3-jet
+a*y^3 + b*y^2*z + c*y*z^2 + d*z^3 is decided by its Hessian.  It is a cube
+exactly when the Hessian vanishes, b^2 = 3ac, bc = 9ad and c^2 = 3bd;
+otherwise it has two distinct factors and gives type D.  A cube is brought
+to y^3 by the shears at degrees 3, 4 and 5 (after exchanging y and z when
+a = 0); the 4- and 5-jet coefficients then decide E6/E7/E8 or, failing all
+of those, the (3, 2, 1) weighted blow-up with discrepancy -1.
 A and D indices come from the Milnor-number oracle; every Du Val verdict
 is cross-checked against it.  The oracle runs on g itself: the Jacobian
 ideal of x^2 + g contains x, so O_3/(J + m^N) and O_2/(J_g + m^N) are
@@ -82,30 +84,6 @@ class SingularityReport:
         return f"{self.family}{self.index}"
 
 
-def perfect_cube_root(cubic: Poly) -> Poly | None:
-    """The monic linear form l with cubic = unit * l^3, if one exists.
-
-    A rational binary cubic with a triple root has that root rational (it is
-    a ratio of coefficients), so no algebraic extensions are needed.
-    """
-    if cubic.arity != 2:
-        raise DuvalError("perfect-cube test expects a binary form")
-    if cubic.is_zero() or P.weighted_degrees(cubic, (1, 1)) != {3}:
-        raise DuvalError("perfect-cube test expects a nonzero homogeneous cubic")
-    a = cubic.coefficient((3, 0))
-    d = cubic.coefficient((0, 3))
-    vars = cubic.vars
-    y = Poly.variable(vars, 0)
-    z = Poly.variable(vars, 1)
-    if a != 0:
-        b = cubic.coefficient((2, 1))
-        ell = y + Fraction(b, 3 * a) * z
-        return ell if a * ell ** 3 == cubic else None
-    if cubic.coefficient((2, 1)) == 0 and cubic.coefficient((1, 2)) == 0 and d != 0:
-        return z
-    return None
-
-
 def truncated_split(f: Poly, truncation: int | None = None) -> tuple[Poly, tuple[Step, ...], Fraction]:
     """Split an order-2 germ as c*x^2 + g(y, z) modulo degree > truncation.
 
@@ -167,17 +145,22 @@ def classify_double_point(g: Poly, truncation: int | None = None) -> Singularity
     steps: list[Step] = []
     family, index = "A", None
     if g_order == 3:
-        family = "D" if perfect_cube_root(P.jet(g, 3)) is None else "E"
+        # the 3-jet a*y^3 + b*y^2*z + c*y*z^2 + d*z^3 is a cube exactly when its
+        # Hessian 4*((3ac - b^2)*y^2 + (9ad - bc)*y*z + (3bd - c^2)*z^2) vanishes
+        a, b, c, d = (g.coefficient((3 - k, k)) for k in range(4))
+        cube = b * b == 3 * a * c and b * c == 9 * a * d and c * c == 3 * b * d
+        family = "E" if cube else "D"
     if family == "E":
-        # a cube c * z^3 moves to y by swapping exponents; the shear at degree
-        # 3, y -> y - b/(3a) * z, takes a cube a * (y + b/(3a) * z)^3 to a * y^3,
-        # and the shears at degrees 4 and 5 remove the terms divisible by y^2
-        if g.coefficient((3, 0)) == 0:
+        # a = 0 forces b = c = 0: the cube d * z^3 moves to y by swapping
+        # exponents; the shear at degree 3, y -> y - b/(3a) * z, takes a cube
+        # a * (y + b/(3a) * z)^3 to a * y^3, and the shears at degrees 4 and 5
+        # remove the terms divisible by y^2
+        if a == 0:
             steps.append((Poly.variable(g.vars, 1), Poly.variable(g.vars, 0)))
-            g = Poly(g.vars, {(b, a): c for (a, b), c in g.terms.items()})
+            g = Poly(g.vars, {(k, j): coeff for (j, k), coeff in g.terms.items()})
         cube_coeff = g.coefficient((3, 0))
         g = P.shears(g, 0, 3, cube_coeff, (3, 4, 5), n_trunc, steps)
-        if P.jet(g, 3) != cube_coeff * Poly.variable(g.vars, 0) ** 3:
+        if P.jet(g, 3).terms != {(3, 0): cube_coeff}:
             raise InvariantError("cube normalization did not give a multiple of y^3")
 
         # alpha z^4, beta y z^3 and gamma z^5 decide E6, E7 and E8

@@ -132,14 +132,17 @@ class Poly:
 
     @classmethod
     def constant(cls, vars: Sequence[str], value) -> "Poly":
-        return cls(vars, {(0,) * len(tuple(vars)): Fraction(value)})
+        vs = tuple(vars)
+        if not vs:
+            raise PolyError("polynomial context needs at least one variable")
+        return cls._raw(vs, {(0,) * len(vs): Fraction(value)})
 
     @classmethod
     def variable(cls, vars: Sequence[str], index: int) -> "Poly":
         vs = tuple(vars)
         expo = [0] * len(vs)
         expo[index] = 1
-        return cls(vs, {tuple(expo): Fraction(1)})
+        return cls._raw(vs, {tuple(expo): Fraction(1)})
 
     # -- basic structure ----------------------------------------------
 
@@ -571,18 +574,8 @@ def assign(f: Poly, values: Mapping[int, int | Fraction]) -> Poly:
     new_vars = tuple(f.vars[i] for i in keep)
     out: dict[Monomial, Fraction] = {}
     for mono, coeff in f.terms.items():
-        c = coeff
-        dead = False
-        for i, val in values.items():
-            e = mono[i]
-            if e:
-                v = Fraction(val)
-                if v == 0:
-                    dead = True
-                    break
-                c *= v ** e
-        if dead:
-            continue
+        # 0^0 = 1: a term killed by a zero value gets coefficient 0 and is dropped
+        c = coeff * prod(Fraction(v) ** mono[i] for i, v in values.items())
         key = tuple(mono[i] for i in keep)
         out[key] = out.get(key, Fraction(0)) + c
     return Poly(new_vars, out)

@@ -94,11 +94,12 @@ def test_every_subcommand_output_is_byte_identical():
     # mu = tau = 24, x^2+y^2+z^30 past the default cap, the non-isolated xyz),
     # a wps batch of coordinate strata that are entirely singular, a
     # quotient curve, or hold non-quasi-smooth points beside quotient points,
-    # and E6 germs whose cube is normalized by a swap of y and z and by the
-    # shear y -> y - z
+    # E6 germs whose cube is normalized by a swap of y and z and by the
+    # shear y -> y - z, and the D4 and D5 germs whose 3-jets fail one
+    # Hessian equation each (bc = 9ad, respectively b^2 = 3ac)
     data = Path(__file__).parent / "data"
     cases = json.loads((data / "cli_golden.json").read_text(encoding="utf-8"))
-    assert len(cases) == 19
+    assert len(cases) == 21
     # the argument parser is built once per process: a rejected argv before
     # each case must leave it as it was
     rejected = (["frobnicate"], ["duval"], ["milnor", "--germ", "x^2", "--cap", "many"])

@@ -85,14 +85,19 @@ def test_terminal_examples():
 
 def test_terminal_matches_age_criterion_up_to_20():
     # Reid--Tai oracle: terminal iff sum of fractional ages exceeds 1 for
-    # every nontrivial group element; integer form avoids Fractions
+    # every nontrivial group element; integer form avoids Fractions.  A
+    # non-isolated type has a fixed curve and is never terminal.
+    non_isolated = 0
     for r in range(1, 21):
         for weights in itertools.product(range(r), repeat=3):
             q = QuotientType(r, weights)
             if not q.is_isolated():
+                assert not cyclo.is_terminal_3fold(q), q
+                non_isolated += 1
                 continue
             oracle = all(sum((k * a) % r for a in weights) > r for k in range(1, r))
             assert cyclo.is_terminal_3fold(q) == oracle, q
+    assert non_isolated > 1000
 
 
 def test_terminal_requires_arity_3():

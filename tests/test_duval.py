@@ -93,16 +93,78 @@ def test_a_and_d_series_indices():
         assert (report.family, report.index) == ("D", k)
 
 
-def test_perfect_cube_root():
-    assert duval.perfect_cube_root(P.parse_poly("y^3+3*y^2*z+3*y*z^2+z^3", V2)) == P.parse_poly(
-        "y+z", V2
-    )
-    assert duval.perfect_cube_root(P.parse_poly("y^3+z^3", V2)) is None
-    assert duval.perfect_cube_root(P.parse_poly("8*y^3", V2)) == P.parse_poly("y", V2)
-    assert duval.perfect_cube_root(P.parse_poly("z^3", V2)) == P.parse_poly("z", V2)
-    assert duval.perfect_cube_root(P.parse_poly("y^2*z", V2)) is None
-    with pytest.raises(DuvalError):
-        duval.perfect_cube_root(P.parse_poly("y^2+z^2", V2))
+def test_hessian_rule_verdicts():
+    # 3-jets a*y^3 + b*y^2*z + c*y*z^2 + d*z^3 failing one Hessian equation
+    # each are type D: bc = 9ad, b^2 = 3ac, c^2 = 3bd
+    assert classify("x^2+y^3+z^3").label == "D4"
+    assert classify("x^2+y^2*z+z^4").label == "D5"
+    assert classify("x^2+y*z^2+y^4").label == "D5"
+    # cubes, with a z^3 cube moved to y by the swap
+    for text in ("x^2+(y+z)^3+z^4", "x^2+8*y^3+z^4", "x^2+z^3+y^4"):
+        assert classify(text).label == "E6", text
+
+
+def _reference_cube_root(cubic):
+    """The monic linear form l with cubic = unit * l^3, if one exists.
+
+    A rational binary cubic with a triple root has that root rational (it is
+    a ratio of coefficients), so no algebraic extensions are needed.
+    """
+    if cubic.arity != 2:
+        raise DuvalError("perfect-cube test expects a binary form")
+    if cubic.is_zero() or P.weighted_degrees(cubic, (1, 1)) != {3}:
+        raise DuvalError("perfect-cube test expects a nonzero homogeneous cubic")
+    a = cubic.coefficient((3, 0))
+    d = cubic.coefficient((0, 3))
+    vars = cubic.vars
+    y = Poly.variable(vars, 0)
+    z = Poly.variable(vars, 1)
+    if a != 0:
+        b = cubic.coefficient((2, 1))
+        ell = y + Fraction(b, 3 * a) * z
+        return ell if a * ell ** 3 == cubic else None
+    if cubic.coefficient((2, 1)) == 0 and cubic.coefficient((1, 2)) == 0 and d != 0:
+        return z
+    return None
+
+
+def test_hessian_rule_matches_the_cube_root_reference():
+    # cubics with three distinct roots, a double root and a triple root (in
+    # the direction of y, of z or neither), each with a generic quartic tail:
+    # the verdict is E exactly when the reference finds the cube root
+    rng = random.Random(151)
+    y, z = Poly.variable(V2, 0), Poly.variable(V2, 1)
+
+    def forms(count, alphas, betas):
+        # pairwise non-proportional linear forms alpha*y + beta*z
+        while True:
+            pairs = [(rng.choice(alphas), rng.choice(betas)) for _ in range(count)]
+            if all(a * d != b * c for k, (a, b) in enumerate(pairs) for c, d in pairs[k + 1:]):
+                return [a * y + b * z for a, b in pairs]
+
+    def nonzero():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+
+    units, anything = (-2, -1, 1, 3), (-3, -1, 0, 1, 2)
+    # kind -> root multiplicities, choices of alpha, choices of beta
+    kinds = {
+        "distinct": ((1, 1, 1), anything, anything),
+        "double": ((2, 1), anything, anything),
+        "cube in y": ((3,), units, (0,)),
+        "cube in z": ((3,), (0,), units),
+        "cube": ((3,), units, units),
+    }
+    for kind, (multiplicities, alphas, betas) in kinds.items():
+        for _ in range(20):
+            cubic = Poly.constant(V2, nonzero())
+            for form, m in zip(forms(len(multiplicities), alphas, betas), multiplicities):
+                cubic = cubic * form ** m
+            root = _reference_cube_root(cubic)
+            assert (root is not None) == kind.startswith("cube"), P.render(cubic)
+            g = cubic + Poly(V2, {(4 - k, k): nonzero() for k in range(5)})
+            report = duval.classify_double_point(g)
+            assert report.verdict == DU_VAL, P.render(g)
+            assert report.family == ("E" if root is not None else "D"), P.render(g)
 
 
 def test_truncated_split_examples():
@@ -411,7 +473,7 @@ def _reference_cube_normalization(g, n_trunc):
     g = P.jet(g, n_trunc)
     if P.order(g) != 3:
         return None
-    ell = duval.perfect_cube_root(P.jet(g, 3))
+    ell = _reference_cube_root(P.jet(g, 3))
     if ell is None:
         return None
     y, z = Poly.variable(V2, 0), Poly.variable(V2, 1)
