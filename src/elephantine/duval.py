@@ -93,7 +93,7 @@ def truncated_split(f: Poly, truncation: int | None = None) -> tuple[Poly, tuple
     per degree, each shear removing every x-involving term of that degree:
     poly.split_square on three variables.
     """
-    n_trunc = locdef.default_truncation() if truncation is None else truncation
+    n_trunc = locdef.DEFAULT_TRUNCATION if truncation is None else truncation
     if f.arity != 3:
         raise DuvalError("splitting expects a germ in 3 variables")
     if P.order(f) != 2:
@@ -121,7 +121,7 @@ def classify_double_point(g: Poly, truncation: int | None = None) -> Singularity
     The report's normalization steps act on the (y, z) plane only and are
     recorded as substitutions of the two input variables.
     """
-    n_trunc = locdef.default_truncation() if truncation is None else truncation
+    n_trunc = locdef.DEFAULT_TRUNCATION if truncation is None else truncation
     if n_trunc < 6:
         raise TruncationError("double-point classification needs truncation >= 6")
     if g.arity != 2:
@@ -212,7 +212,7 @@ def classify_germ(f: Poly, truncation: int | None = None) -> SingularityReport:
     normalization steps apply to f in order; after them (and truncation) the
     germ reads quadratic_coefficient * x^2 + residual(y, z).
     """
-    n_trunc = locdef.default_truncation() if truncation is None else truncation
+    n_trunc = locdef.DEFAULT_TRUNCATION if truncation is None else truncation
     if f.arity != 3:
         raise DuvalError("classification expects a germ in 3 variables")
     if f.is_zero():
@@ -258,7 +258,7 @@ def _lift_plane_poly(p: Poly, vars: tuple[str, ...]) -> Poly:
 
 def normalized_form(f: Poly, report: SingularityReport, truncation: int | None = None) -> Poly:
     """Apply the report's normalization steps to f, truncated."""
-    n_trunc = locdef.default_truncation() if truncation is None else truncation
+    n_trunc = locdef.DEFAULT_TRUNCATION if truncation is None else truncation
     f = P.jet(f, n_trunc)
     for images in report.normalization:
         f = P.substitute(f, list(images), cap=n_trunc)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import os
 from dataclasses import dataclass
 from math import comb, gcd
 
@@ -30,29 +29,10 @@ DEFAULT_CAP = 24
 # the default stabilization limit rises to bezout_bound(f) + 1 up to here;
 # B grows like (deg f - 1)^n, so above it dense germs keep the default cap
 BEZOUT_CAP_CEILING = 32
-_ENV_TRUNCATION = "ELEPHANTINE_TRUNCATION"
 
 
 class LocdefError(ValueError):
     """Invalid local-algebra request."""
-
-
-def default_truncation() -> int:
-    """Jet truncation degree, overridable via ELEPHANTINE_TRUNCATION."""
-    raw = os.environ.get(_ENV_TRUNCATION)
-    if raw is None:
-        return DEFAULT_TRUNCATION
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise LocdefError(f"{_ENV_TRUNCATION} must be an integer, got {raw!r}") from exc
-    if value < 2:
-        raise LocdefError(f"{_ENV_TRUNCATION} must be at least 2")
-    return value
-
-
-def default_cap() -> int:
-    return max(2 * default_truncation(), DEFAULT_CAP)
 
 
 def monomials_below(nvars: int, bound: int) -> list[Monomial]:
@@ -143,7 +123,7 @@ def _ideal_generators(f: Poly, ideal_tag: str) -> list[Poly]:
 
 
 def _truncation(truncation: int | None) -> int:
-    n_trunc = default_truncation() if truncation is None else truncation
+    n_trunc = DEFAULT_TRUNCATION if truncation is None else truncation
     if n_trunc < 1:
         raise LocdefError("truncation degree must be >= 1")
     return n_trunc
@@ -227,7 +207,7 @@ def _stable_dimension(f: Poly, ideal_tag: str, cap: int | None) -> int | None:
     lies below N + B - dim + 1, and N steps to the least of that, N + N//2
     (doubling overshoots small Milnor numbers to an echelon dearer than all
     before it) and the limit.  The limit is the cap, or by default
-    default_cap(), raised to B + 1 when that is at most BEZOUT_CAP_CEILING:
+    DEFAULT_CAP, raised to B + 1 when that is at most BEZOUT_CAP_CEILING:
     at N = B + 1 the plateau of an isolated germ always shows.
 
     Each echelon runs on the corank residual g_N of f in n - r variables, r
@@ -244,7 +224,7 @@ def _stable_dimension(f: Poly, ideal_tag: str, cap: int | None) -> int | None:
     """
     if f.constant_term() != 0:
         raise LocdefError("germ must vanish at the origin")
-    limit = default_cap() if cap is None else cap
+    limit = DEFAULT_CAP if cap is None else cap
     if limit < 3:
         return None
     n_trunc = min(4, limit)

@@ -140,6 +140,8 @@ class Poly:
     @classmethod
     def variable(cls, vars: Sequence[str], index: int) -> "Poly":
         vs = tuple(vars)
+        if not 0 <= index < len(vs):
+            raise PolyError(f"variable index must lie in 0..{len(vs) - 1}, got {index}")
         expo = [0] * len(vs)
         expo[index] = 1
         return cls._raw(vs, {tuple(expo): Fraction(1)})

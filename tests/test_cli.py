@@ -193,7 +193,31 @@ def test_wps_batch_input_file(tmp_path):
     assert lines[1]["result"]["h0"] == 1
 
 
-def test_exit_code_2_on_bad_input():
+def test_exit_code_2_on_bad_input(tmp_path):
+    batch = tmp_path / "short.txt"
+    batch.write_text("1,1,1 | 3\n", encoding="utf-8")
+    type_args = ["--type", "1/2(1,1,1)", "--weights", "1/2(1,1,1)"]
+    for argv, message in (
+        (["milnor", "--germ", "x^2", "--vars", ","], "empty variable list"),
+        (["blowup", *type_args, "--vars", "a"], "need 3 variable names, got 1"),
+        (["blowup", *type_args, "--divisor", "0"], "divisor polynomial must be nonzero"),
+        (["blowup", "--type", "1/2(1,1)", "--weights", "1/2(1,1)", "--divisor", "x+y^2"],
+         "divisor is not semi-invariant for the quotient action"),
+        (["duval", "--germ", "x^2+y^3", "--vars", "x,y"],
+         "the classifier expects a germ in exactly 3 variables"),
+        (["t1", "--germ", "x^2+y^2+z^2", "--type", "1/2(1,1)"],
+         "quotient type arity does not match the variable count"),
+        (["wps", "--weights", "1,1,1", "--degree", "a"], "bad degree list 'a'"),
+        (["wps", "--weights", "1,1,1", "--degree", "0"], "weights and degrees must be positive"),
+        (["wps", "--weights", "1,1,1", "--degree", "3,3", "--vars", "a,b"],
+         "need 3 variable names, got 2"),
+        (["wps", "--input-file", str(batch)],
+         f"{batch}:1: expected 'weights | degree | equation [| vars]'"),
+        (["wps"], "wps needs --weights and --degree (or --input-file)"),
+    ):
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == "", argv
+        assert message in err and "internal error" not in err, (argv, err)
     for argv in (
         ["duval", "--germ", "x^2+@"],
         ["duval", "--germ", "x^2+q^2"],
@@ -260,18 +284,6 @@ def test_overlong_literal_is_input_error():
     assert out == ""
     assert f"number of {digits} digits is too long (at position 4)" in err
     assert "internal error" not in err
-
-
-@pytest.mark.parametrize("argv, value", [
-    (["duval", "--germ", "x^2+y^2+z^2"], "abc"),
-    (["t1", "--germ", "x^3+y^3+z^3", "--type", "1/2(1,1,1)"], "1"),
-])
-def test_bad_truncation_env_var_is_input_error(monkeypatch, argv, value):
-    monkeypatch.setenv("ELEPHANTINE_TRUNCATION", value)
-    code, out, err = run_cli(argv)
-    assert code == 2
-    assert out == ""
-    assert "ELEPHANTINE_TRUNCATION" in err and "internal error" not in err
 
 
 def test_wps_unreadable_input_file_is_input_error(tmp_path):
@@ -348,12 +360,10 @@ def test_console_output_is_deterministic():
         assert first == second
 
 
-def test_truncation_env_var_reaches_classifier(monkeypatch):
-    monkeypatch.setenv("ELEPHANTINE_TRUNCATION", "14")
-    code, out, err = run_cli(["duval", "--germ", "x^2+y^13+z^13"])
+def test_truncation_flag_reaches_classifier():
+    code, out, err = run_cli(["duval", "--germ", "x^2+y^13+z^13", "--truncation", "14"])
     assert code == 0
     assert json.loads(out)["result"]["verdict"] == "not_du_val"
-    monkeypatch.delenv("ELEPHANTINE_TRUNCATION")
     code, out, err = run_cli(["duval", "--germ", "x^2+y^13+z^13"])
     assert code == 2  # default truncation 12 cannot decide this germ
     assert "truncation" in err or "retry" in err

@@ -256,10 +256,15 @@ def test_du_val_verdicts_match_milnor_oracle():
 
 def test_not_du_val_recommendations_rederive_through_blowup():
     smooth = cyclo.smooth_type(3)
-    for text in ["x^3+y^3+z^3", "x^2+y^4+z^4", "x^2+y^3+y*z^4+z^6", "x^4+y^4+z^5"]:
+    # these two reach normalized_form's substitutions: a degree-3 shear of
+    # (y + z)^3, and the shear x -> x - y^2
+    sheared = ["x^2+(y+z)^3+z^6", "(x+y^2)^2+y^3*z+z^7"]
+    for text in ["x^3+y^3+z^3", "x^2+y^4+z^4", "x^2+y^3+y*z^4+z^6", "x^4+y^4+z^5"] + sheared:
         f = P.parse_poly(text, V3)
         report = duval.classify_germ(f)
         assert report.verdict == NOT_DU_VAL
+        if text in sheared:
+            assert report.normalization, text
         normalized = duval.normalized_form(f, report)
         check = wblow.pair_discrepancy(
             smooth, normalized, WeightVector(report.recommendation.weights, 1)

@@ -71,7 +71,7 @@ def test_milnor_quasi_homogeneous_product_formula():
 def _per_degree_stable_dimension(f, ideal_tag, cap):
     # reference: one echelon for every N from 2 up to the cap, stopping at
     # the first two equal consecutive dimensions
-    limit = locdef.default_cap() if cap is None else cap
+    limit = locdef.DEFAULT_CAP if cap is None else cap
     previous = None
     for n_trunc in range(2, limit + 1):
         dim = locdef.quotient_dim(f, ideal_tag, n_trunc).dimension
@@ -200,7 +200,7 @@ def _per_degree(tq):
 def _full_echelon_stable_dimension(f, ideal_tag, cap, ladder):
     # the stabilization loop before the corank split, every echelon on f
     # itself; (N, basis count per degree) of each echelon goes to ladder
-    limit = locdef.default_cap() if cap is None else cap
+    limit = locdef.DEFAULT_CAP if cap is None else cap
     if limit < 3:
         return None
     n_trunc = min(4, limit)
@@ -453,15 +453,13 @@ def test_in_m2_image_does_not_depend_on_truncation():
     assert answers == {True, False}
 
 
-def test_truncation_env_override(monkeypatch):
-    monkeypatch.setenv("ELEPHANTINE_TRUNCATION", "8")
-    assert locdef.default_truncation() == 8
-    assert locdef.default_cap() == 24
-    monkeypatch.setenv("ELEPHANTINE_TRUNCATION", "15")
-    assert locdef.default_cap() == 30
-    monkeypatch.setenv("ELEPHANTINE_TRUNCATION", "junk")
-    with pytest.raises(ValueError):
-        locdef.default_truncation()
+@pytest.mark.parametrize("germ", ["x^2+y^2+z^24+x*y^40", "x^2+y^2+z^25+x*y^40"])
+def test_default_cap_is_24(germ):
+    # B + 1 > BEZOUT_CAP_CEILING, so the default limit is not raised: mu = 23
+    # shows at a limit of 24, and z^25 (mu = 24) needs a limit of 25
+    f = P.parse_poly(germ, V3)
+    assert locdef.bezout_bound(f) + 1 > locdef.BEZOUT_CAP_CEILING
+    assert locdef.milnor_number(f) == locdef.milnor_number(f, cap=24)
 
 
 def test_monomials_below_order():

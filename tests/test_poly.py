@@ -355,6 +355,14 @@ def test_truncation_degree_must_be_non_negative():
         P.substitute(f, [f, f], cap=-1)
 
 
+def test_variable_index_must_lie_in_range():
+    # a negative index would count from the end and name z
+    assert Poly.variable(V3, 2) == P.parse_poly("z", V3)
+    for index in (-1, len(V3)):
+        with pytest.raises(P.PolyError, match=f"variable index must lie in 0..2, got {index}"):
+            Poly.variable(V3, index)
+
+
 @pytest.mark.parametrize("vars", [V2, V3, V4])
 def test_split_square_verifies_by_substitution(vars):
     # seeded order-2 germs, a third of them with products only in their
