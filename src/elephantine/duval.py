@@ -13,8 +13,8 @@ otherwise it has two distinct factors and gives type D.  A cube is brought
 to y^3 by the shears at degrees 3, 4 and 5 (after exchanging y and z when
 a = 0); the 4- and 5-jet coefficients then decide E6/E7/E8 or, failing all
 of those, the (3, 2, 1) weighted blow-up with discrepancy -1.
-A and D indices come from the Milnor-number oracle; every Du Val verdict
-is cross-checked against it.  The oracle runs on g itself: the Jacobian
+A and D indices come from the Milnor-number oracle, and every Du Val report
+checks its index against it.  The oracle runs on g itself: the Jacobian
 ideal of x^2 + g contains x, so O_3/(J + m^N) and O_2/(J_g + m^N) are
 isomorphic for every N and mu(x^2 + g) = mu(g) (Sebastiani-Thom).
 """
@@ -74,8 +74,18 @@ class SingularityReport:
                 raise InvariantError(
                     f"recommended blow-up has discrepancy {self.recommendation.discrepancy} > -1"
                 )
-        if self.verdict == DU_VAL and self.recommendation is not None:
-            raise InvariantError("a Du Val verdict carries no recommended blow-up")
+        if self.verdict == DU_VAL:
+            if self.recommendation is not None:
+                raise InvariantError("a Du Val verdict carries no recommended blow-up")
+            if self.milnor != self.index:
+                raise InvariantError(
+                    f"oracle mismatch: {self.family}{self.index} verdict with "
+                    f"Milnor number {self.milnor}"
+                )
+            if self.family == "D" and self.milnor < 4:
+                raise InvariantError(
+                    f"oracle mismatch: type D needs Milnor number >= 4, got {self.milnor}"
+                )
 
     @property
     def label(self) -> str | None:
@@ -180,7 +190,7 @@ def classify_double_point(g: Poly, truncation: int | None = None) -> Singularity
             )
 
     mu = _oracle_milnor(g)
-    report = SingularityReport(
+    return SingularityReport(
         verdict=DU_VAL,
         family=family,
         index=mu if index is None else index,
@@ -188,20 +198,6 @@ def classify_double_point(g: Poly, truncation: int | None = None) -> Singularity
         normalization=tuple(steps),
         residual=g,
     )
-    _check_du_val_milnor(report)
-    return report
-
-
-def _check_du_val_milnor(report: SingularityReport) -> None:
-    if report.milnor != report.index:
-        raise NonIsolatedGermError(
-            f"oracle mismatch: {report.family}{report.index} verdict with "
-            f"Milnor number {report.milnor}"
-        )
-    if report.family == "D" and report.milnor < 4:
-        raise NonIsolatedGermError(
-            f"oracle mismatch: type D needs Milnor number >= 4, got {report.milnor}"
-        )
 
 
 def classify_germ(f: Poly, truncation: int | None = None) -> SingularityReport:

@@ -16,7 +16,6 @@ is left in the other variables.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from math import comb, gcd
 
@@ -36,20 +35,9 @@ class LocdefError(ValueError):
 
 
 def monomials_below(nvars: int, bound: int) -> list[Monomial]:
-    """All exponent tuples of total degree < bound, in graded-lex order.
-
-    Within one degree, combinations_with_replacement yields the index
-    multisets in lexicographic order, which is descending in (e_1, e_2, ...):
-    graded-lex order already.
-    """
-    out: list[Monomial] = []
-    for d in range(bound):
-        for combo in itertools.combinations_with_replacement(range(nvars), d):
-            expo = [0] * nvars
-            for i in combo:
-                expo[i] += 1
-            out.append(tuple(expo))
-    return out
+    """All exponent tuples of total degree < bound, in grlex order: unit weights, by degree."""
+    ones = (1,) * nvars
+    return [m for d in range(bound) for m in P.monomials_of_weighted_degree(ones, d)]
 
 
 @functools.lru_cache(maxsize=32)
@@ -200,15 +188,16 @@ def _stable_dimension(f: Poly, ideal_tag: str, cap: int | None) -> int | None:
     Nakayama the value is stable at the first degree d >= 2 with no basis
     monomial, if d <= limit - 1.
 
-    Past the first echelon without a plateau, B = bezout_bound(f) settles
-    the rest.  An isolated f has every truncated dimension <= B, so dim > B
-    proves it non-isolated and returns None at once.  Otherwise each degree
-    from N up to the plateau degree holds a basis monomial, so the plateau
-    lies below N + B - dim + 1, and N steps to the least of that, N + N//2
-    (doubling overshoots small Milnor numbers to an echelon dearer than all
-    before it) and the limit.  The limit is the cap, or by default
-    DEFAULT_CAP, raised to B + 1 when that is at most BEZOUT_CAP_CEILING:
-    at N = B + 1 the plateau of an isolated germ always shows.
+    B = bezout_bound(f) and the limit are fixed before the first echelon.
+    The limit is the cap, or by default DEFAULT_CAP, raised to B + 1 when
+    that is at most BEZOUT_CAP_CEILING: at N = B + 1 the plateau of an
+    isolated germ always shows.  Past an echelon without a plateau, B
+    settles the rest.  An isolated f has every truncated dimension <= B, so
+    dim > B proves it non-isolated and returns None at once.  Otherwise each
+    degree from N up to the plateau degree holds a basis monomial, so the
+    plateau lies below N + B - dim + 1, and N steps to the least of that,
+    N + N//2 (doubling overshoots small Milnor numbers to an echelon dearer
+    than all before it) and the limit.
 
     Each echelon runs on the corank residual g_N of f in n - r variables, r
     the number of squares split off at the echelon's own N (the splitting
@@ -224,11 +213,13 @@ def _stable_dimension(f: Poly, ideal_tag: str, cap: int | None) -> int | None:
     """
     if f.constant_term() != 0:
         raise LocdefError("germ must vanish at the origin")
+    bound = bezout_bound(f)
     limit = DEFAULT_CAP if cap is None else cap
+    if cap is None and limit < bound + 1 <= BEZOUT_CAP_CEILING:
+        limit = bound + 1
     if limit < 3:
         return None
     n_trunc = min(4, limit)
-    bound = None
     while True:
         per_degree = [0] * n_trunc
         for mono in quotient_dim(_corank_residual(f, n_trunc), ideal_tag, n_trunc).basis:
@@ -237,10 +228,6 @@ def _stable_dimension(f: Poly, ideal_tag: str, cap: int | None) -> int | None:
             if per_degree[d] == 0:
                 return sum(per_degree[:d])
         dim = sum(per_degree)
-        if bound is None:
-            bound = bezout_bound(f)
-            if cap is None and limit < bound + 1 <= BEZOUT_CAP_CEILING:
-                limit = bound + 1
         if dim > bound or n_trunc == limit:
             return None
         n_trunc = min(n_trunc + n_trunc // 2, n_trunc + bound - dim + 1, limit)

@@ -86,6 +86,20 @@ def grlex_key(m: Monomial):
     return (sum(m), tuple(-e for e in m))
 
 
+def monomials_of_weighted_degree(weights: Sequence[int], target: int) -> list[Monomial]:
+    """All exponent tuples with sum(w_i e_i) = target, in graded-lex order.
+
+    Each exponent runs down from its largest value, so the tuples come in
+    descending lex order, which a stable sort by total degree makes grlex.
+    """
+    partial = [((), target)] if target >= 0 else []  # (prefix, weighted degree left)
+    for w in weights[:-1]:
+        partial = [(prefix + (e,), left - e * w)
+                   for prefix, left in partial for e in range(left // w, -1, -1)]
+    w = weights[-1]
+    return sorted([prefix + (left // w,) for prefix, left in partial if left % w == 0], key=sum)
+
+
 class Poly:
     """Immutable sparse polynomial with exact rational coefficients."""
 
@@ -570,6 +584,9 @@ def assign(f: Poly, values: Mapping[int, int | Fraction]) -> Poly:
     The result lives in the context of the remaining variables (which must
     be non-empty).
     """
+    for i in values:
+        if not 0 <= i < f.arity:
+            raise PolyError(f"variable index must lie in 0..{f.arity - 1}, got {i}")
     keep = [i for i in range(f.arity) if i not in values]
     if not keep:
         raise PolyError("cannot assign every variable")

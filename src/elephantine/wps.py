@@ -27,7 +27,7 @@ from math import gcd
 
 from . import poly as P
 from .cyclo import QuotientType, normalize_type, render_type
-from .poly import InvariantError, Monomial, Poly
+from .poly import InvariantError, Monomial, Poly, monomials_of_weighted_degree
 
 
 class WpsError(ValueError):
@@ -389,24 +389,6 @@ def _orbit_count(distinct_roots: int, residual_order: int) -> int:
 # -- anticanonical data --------------------------------------------------
 
 
-def monomials_of_weighted_degree(weights: tuple[int, ...], target: int) -> list[Monomial]:
-    """All exponent tuples with sum(w_i e_i) = target, graded-lex sorted."""
-    out: list[Monomial] = []
-
-    def recurse(pos: int, left: int, prefix: tuple[int, ...]):
-        if pos == len(weights) - 1:
-            if left % weights[pos] == 0:
-                out.append(prefix + (left // weights[pos],))
-            return
-        w = weights[pos]
-        for e in range(left // w + 1):
-            recurse(pos + 1, left - e * w, prefix + (e,))
-
-    if target >= 0:
-        recurse(0, target, ())
-    return sorted(out, key=P.grlex_key)
-
-
 def anticanonical_data(weights: tuple[int, ...], degrees: tuple[int, ...]) -> tuple[int, list[Monomial]]:
     """Anticanonical degree sum(w) - sum(d) and the section monomial basis.
 
@@ -414,7 +396,7 @@ def anticanonical_data(weights: tuple[int, ...], degrees: tuple[int, ...]) -> tu
     complete intersections are covered by the same formula.
     """
     amp = sum(weights) - sum(degrees)
-    return amp, monomials_of_weighted_degree(tuple(weights), amp)
+    return amp, monomials_of_weighted_degree(weights, amp)
 
 
 def anticanonical(surface: WpsHypersurface) -> tuple[int, list[Monomial]]:

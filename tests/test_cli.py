@@ -50,6 +50,13 @@ def test_charts_subcommand():
     assert report["result"]["canonical_discrepancy"] == "1/2"
     assert len(report["result"]["charts"]) == 3
     assert "divisor" not in report["result"]
+    # past six variables the default names are x0, x1, ...
+    text = "1/2(1,1,1,1,1,1,1)"
+    charts = run_json(["charts", "--type", text, "--weights", text])["result"]["charts"]
+    names = [f"x{k}" for k in range(7)]
+    assert [chart["variable"] for chart in charts] == names
+    assert all(list(chart["map"]) == names for chart in charts)
+    assert charts[0]["map"]["x1"] == "x1*x0^(1/2)"
 
 
 def test_duval_subcommand():
@@ -175,6 +182,9 @@ def test_wps_complete_intersection_mode():
     assert report["result"]["anticanonical_degree"] == 1
     assert report["result"]["h0"] == 0
     assert report["warnings"]
+    report = run_json(["wps", "--weights", "1,1,1,1,1", "--degree", "2,3", "--equation", "x^2"])
+    assert report["warnings"] == ["equation ignored: singularity analysis supports hypersurfaces only"]
+    assert report["result"]["degrees"] == [2, 3] and report["result"]["h0"] == 1
 
 
 def test_wps_batch_input_file(tmp_path):
@@ -207,6 +217,7 @@ def test_exit_code_2_on_bad_input(tmp_path):
          "the classifier expects a germ in exactly 3 variables"),
         (["t1", "--germ", "x^2+y^2+z^2", "--type", "1/2(1,1)"],
          "quotient type arity does not match the variable count"),
+        (["wps", "--weights", "1,a", "--degree", "3"], "bad weight list '1,a'"),
         (["wps", "--weights", "1,1,1", "--degree", "a"], "bad degree list 'a'"),
         (["wps", "--weights", "1,1,1", "--degree", "0"], "weights and degrees must be positive"),
         (["wps", "--weights", "1,1,1", "--degree", "3,3", "--vars", "a,b"],

@@ -371,6 +371,15 @@ def test_report_invariants_survive_optimization():
             verdict=duval.DU_VAL,
             recommendation=duval.Recommendation(weights=(1, 1, 1), discrepancy=Fraction(-1)),
         )
+    # a Du Val report checks its index against the Milnor oracle: a mismatch
+    # is a bug, so the CLI exits 1 on it, not 2 as for bad input
+    with pytest.raises(duval.InvariantError) as info:
+        duval.SingularityReport(verdict=DU_VAL, family="A", index=3, milnor=4)
+    assert str(info.value) == "oracle mismatch: A3 verdict with Milnor number 4"
+    with pytest.raises(duval.InvariantError) as info:
+        duval.SingularityReport(verdict=DU_VAL, family="D", index=3, milnor=3)
+    assert str(info.value) == "oracle mismatch: type D needs Milnor number >= 4, got 3"
+    assert duval.SingularityReport(verdict=DU_VAL, family="D", index=4, milnor=4).label == "D4"
 
 
 def test_truncation_below_two_is_a_truncation_error():

@@ -48,6 +48,10 @@ CASES = [
      "images live in inconsistent contexts"),
     ("assign-every-variable", lambda: P.assign(_poly("x"), {0: 1, 1: 1, 2: 1}), PolyError,
      "cannot assign every variable"),
+    ("assign-index-negative", lambda: P.assign(_poly("x+y*z+z^2"), {-1: 0}), PolyError,
+     "variable index must lie in 0..2, got -1"),
+    ("assign-index-arity", lambda: P.assign(_poly("x+y*z+z^2"), {3: 1}), PolyError,
+     "variable index must lie in 0..2, got 3"),
     ("quotient-order", lambda: QuotientType(0, (1, 1)), QuotientTypeError,
      "group order must be >= 1"),
     ("parse-type-weights", lambda: cyclo.parse_type("1/3(1,a)"), QuotientTypeError,

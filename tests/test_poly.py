@@ -161,6 +161,21 @@ def test_order():
     assert P.order(Poly.zero(V3)) is INFINITY
 
 
+def test_infinity_is_above_every_number():
+    # the order and degree of the zero polynomial
+    assert P.degree(Poly.zero(V3)) is INFINITY
+    for value in (0, -7, 10**30, Fraction(7, 3), Fraction(-1, 2)):
+        assert value < INFINITY and value <= INFINITY and value != INFINITY
+        assert INFINITY > value and INFINITY >= value
+        assert not INFINITY < value and not INFINITY <= value
+    assert INFINITY == INFINITY and INFINITY <= INFINITY and INFINITY >= INFINITY
+    assert not INFINITY > INFINITY and not INFINITY < INFINITY
+    assert INFINITY + 3 is INFINITY and 3 + INFINITY is INFINITY
+    assert P.Infinity() == INFINITY and hash(P.Infinity()) == hash(INFINITY)
+    assert {INFINITY: 1}[P.order(Poly.zero(V2))] == 1
+    assert repr(INFINITY) == "inf"
+
+
 def test_jet():
     f = P.parse_poly("y^3+z^5+y*z^4", V2)
     assert P.jet(f, 4) == P.parse_poly("y^3", V2)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -492,3 +493,83 @@ def test_coordinate_indices_out_of_range_are_input_errors():
             wps.stratum_report(X15A, i, 0)
     # in range, the last vertex is read as before: w2^3 is a pure power
     assert not wps.vertex_report(X15A, n - 1).on_hypersurface
+
+
+# -- Kawamata's identity: an oracle for the basket ---------------------------
+#
+# For a quasi-smooth, well-formed X_d in P(a_0, ..., a_4) with terminal cyclic
+# quotient points P of index r_P and chi(O_X) = 1, Kawamata's formula (in
+# Reid's plurigenus form) reads -K.c_2 + sum_P (r_P - 1/r_P) = 24.  Here
+# c(X) = prod(1 + a_i H)/(1 + d H) and H^3 = d/prod(a_i), so with e_k the
+# elementary symmetric functions of the weights
+#     -K.c_2 = (e_1 - d) * (e_2 - d*e_1 + d^2) * d/prod(a_i),
+# from the weights alone, while the basket comes from the inventory.
+
+_FANO_NAMES = ("x", "y", "z", "t", "w")
+
+
+def _fano_hypersurface(rng):
+    """X_d in P(a_0, ..., a_4) with d = sum(a) - 1: every coordinate gets a pure
+    power or a term x_i^e * x_j, and three more monomials of degree d join them."""
+    while True:
+        weights = tuple(sorted(rng.randint(1, 9) for _ in range(5)))
+        degree = sum(weights) - 1
+        monos = wps.monomials_of_weighted_degree(weights, degree)
+        chosen = []
+        for i, w in enumerate(weights):
+            tips = ([m for m in monos if m[i] * w == degree]
+                    or [m for m in monos if m[i] and sum(m) == m[i] + 1])
+            if not tips:
+                break
+            chosen.append(rng.choice(tips))
+        else:
+            rest = [m for m in monos if m not in chosen]
+            chosen += rng.sample(rest, min(3, len(rest)))
+            terms = {m: rng.choice((-1, 1)) * rng.randint(1, 5) for m in chosen}
+            return WpsHypersurface(weights, degree, P.Poly(_FANO_NAMES, terms))
+
+
+def _kawamata_basket(analysis):
+    """The types of a well-formed inventory of terminal quotient points only, else None."""
+    if not analysis.wellformed or any(entry.kind != "quotient" for entry in analysis.inventory):
+        return None
+    basket = [(entry.count, cyclo.parse_type(entry.type)) for entry in analysis.inventory]
+    if not all(cyclo.is_terminal_3fold(q) for _, q in basket):
+        return None
+    return basket
+
+
+def _kawamata_sum(analysis, basket):
+    a, d = analysis.weights, analysis.degree
+    e1 = sum(a)
+    e2 = sum(x * y for x, y in itertools.combinations(a, 2))
+    total = Fraction((e1 - d) * (e2 - d * e1 + d * d) * d, math.prod(a))
+    return total + sum(count * (q.r - Fraction(1, q.r)) for count, q in basket)
+
+
+def test_kawamata_identity_on_x15a():
+    # the one surface of tests/data/surfaces.txt the identity applies to:
+    # X14 and X16 have non-quasi-smooth points, and X15B has d != sum(a) - 1
+    # and a non-terminal point 1/7(1,1,3)
+    analysis = wps.analyze(X15A)
+    basket = _kawamata_basket(analysis)
+    assert sorted((count, str(q)) for count, q in basket) == [
+        (1, "1/2(1,1,1)"), (3, "1/5(1,2,3)")]
+    assert _kawamata_sum(analysis, basket) == 24
+    assert [_kawamata_basket(wps.analyze(X)) for X in (X14, X16, X15B)] == [None] * 3
+
+
+def test_kawamata_identity_on_generated_fano_hypersurfaces():
+    rng = random.Random(26)
+    qualifying = with_stratum_points = 0
+    for _ in range(600):
+        analysis = wps.analyze(_fano_hypersurface(rng))
+        basket = _kawamata_basket(analysis)
+        if basket is None:
+            continue
+        qualifying += 1
+        with_stratum_points += any(
+            entry.location.startswith("stratum") for entry in analysis.inventory)
+        assert _kawamata_sum(analysis, basket) == 24, analysis
+    # the identity is checked on enough surfaces, most with points on a stratum
+    assert (qualifying, with_stratum_points) == (113, 104)
