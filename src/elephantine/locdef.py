@@ -118,6 +118,16 @@ def _truncation(truncation: int | None) -> int:
 
 
 def _ideal_rows(f: Poly, ideal_tag: str, n_trunc: int) -> _RowSpace:
+    """The echelon of the rows m * g_i truncated below N, g_i the generators.
+
+    F5's criterion (Faugere, ISSAC 2002) skips the row m * g_i when m is a
+    pivot of the rows of g_1 ... g_(i-1): some h in their span leads with m,
+    and m * g_i = h * g_i - (h - m) * g_i.  Truncated below degree N, h * g_i
+    lies in the span of the rows of g_1 ... g_(i-1), and (h - m) * g_i in
+    that of the rows t * g_i with t after m.  By induction on i, then on m
+    from the last monomial down, every skipped row lies in the span of the
+    inserted ones, so the span, its pivots and every basis are unchanged.
+    """
     grlex, keys = _grlex(f.arity, n_trunc)
     space = _RowSpace()
     limit = grlex.limit
@@ -125,9 +135,11 @@ def _ideal_rows(f: Poly, ideal_tag: str, n_trunc: int) -> _RowSpace:
         row, _ = grlex.pack(gen)
         if not row:  # order(gen) >= N
             continue
+        earlier = set(space.pivots)
         # the shifts are the monomials of degree < N - order(gen)
         for shift in keys[:comb(n_trunc - 1 - P.order(gen) + f.arity, f.arity)]:
-            space.insert({k + shift: c for k, c in row.items() if k + shift < limit})
+            if shift not in earlier:
+                space.insert({k + shift: c for k, c in row.items() if k + shift < limit})
     return space
 
 

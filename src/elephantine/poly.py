@@ -643,6 +643,15 @@ def render(f: Poly) -> str:
 # '_' that starts with no decimal digit.  Whitespace is insignificant;
 # juxtaposed factors multiply implicitly.  The sign of a rational is reachable only where a
 # base is required (after '*', '+' or '-'), never via juxtaposition.
+#
+# An expr comes back as its terms, a dict from monomial to coefficient.  A
+# term keeps one coefficient and one exponent list: a variable adds to an
+# exponent, and a rational or a parenthesized expr of one term folds in.
+# Only a factor of zero or of several terms is a Poly multiplied by mul.
+# At most MAX_NESTING parentheses may be open at once; a deeper '(' is a
+# parse error, not a trip over the interpreter's recursion limit.
+
+MAX_NESTING = 100
 
 # a token's kind is "nat", "ident" or the character itself
 _TOKEN = re.compile(r"(?P<nat>\d+)|(?P<ident>[^\W\d]\w*)|\S")
@@ -655,7 +664,10 @@ class _Parser:
                        for m in _TOKEN.finditer(text)]
         self.tokens.append(("", "", len(text)))
         self.at = 0
+        self.depth = 0
         self.vars = tuple(vars)
+        if not self.vars:
+            raise PolyError("polynomial context needs at least one variable")
         self.index = {name: i for i, name in enumerate(self.vars)}
 
     def kind(self) -> str:
@@ -681,13 +693,16 @@ class _Parser:
         self.at += 1
         return value
 
-    def parse_expr(self) -> Poly:
+    def power(self) -> int:
+        return self.nat() if self.take("^") else 1
+
+    def parse_expr(self) -> dict[Monomial, Fraction]:
         terms: dict[Monomial, Fraction] = {}
         sign = 1
         if not self.take("+") and self.take("-"):
             sign = -1
         while True:
-            for mono, coeff in self.parse_term().terms.items():
+            for mono, coeff in self.parse_term().items():
                 coeff = coeff if sign > 0 else -coeff
                 total = terms[mono] + coeff if mono in terms else coeff
                 if total:
@@ -699,32 +714,48 @@ class _Parser:
             elif self.take("-"):
                 sign = -1
             else:
-                return Poly._raw(self.vars, terms)
+                return terms
 
-    def parse_term(self) -> Poly:
-        result = self.parse_factor()
-        while self.take("*") or self.kind() in ("nat", "ident", "("):
-            result = result * self.parse_factor()
-        return result
+    def parse_term(self) -> dict[Monomial, Fraction]:
+        coeff = Fraction(1)
+        expo = [0] * len(self.vars)
+        product = None  # the factors of zero or several terms
+        while True:
+            kind, name, position = self.tokens[self.at]
+            if kind == "ident":
+                if name not in self.index:
+                    raise PolyParseError(f"unknown variable {name!r}", position)
+                self.at += 1
+                expo[self.index[name]] += self.power()
+            else:
+                base = self.parse_base()
+                k = self.power()
+                if len(base) == 1:
+                    [(mono, c)] = base.items()
+                    coeff *= c ** k
+                    for v, e in enumerate(mono):
+                        expo[v] += e * k
+                else:
+                    factor = Poly._raw(self.vars, base) ** k
+                    product = factor if product is None else product * factor
+            if not (self.take("*") or self.kind() in ("nat", "ident", "(")):
+                break
+        mono = tuple(expo)
+        if product is None:
+            return {mono: coeff}
+        return {monomial_mul(m, mono): coeff * c for m, c in product.terms.items()}
 
-    def parse_factor(self) -> Poly:
-        base = self.parse_base()
-        if self.take("^"):
-            return base ** self.nat()
-        return base
-
-    def parse_base(self) -> Poly:
+    def parse_base(self) -> dict[Monomial, Fraction]:
+        kind, _, position = self.tokens[self.at]
         if self.take("("):
+            if self.depth == MAX_NESTING:
+                raise PolyParseError(f"more than {MAX_NESTING} nested parentheses", position)
+            self.depth += 1
             inner = self.parse_expr()
             if not self.take(")"):
                 raise self.error("expected ')'")
+            self.depth -= 1
             return inner
-        kind, name, position = self.tokens[self.at]
-        if kind == "ident":
-            if name not in self.index:
-                raise PolyParseError(f"unknown variable {name!r}", position)
-            self.at += 1
-            return Poly.variable(self.vars, self.index[name])
         sign = 1
         if self.take("-"):
             sign = -1
@@ -733,22 +764,23 @@ class _Parser:
         elif kind != "nat":
             raise self.error("expected a number, variable, or '('")
         num = self.nat()
+        value = Fraction(sign * num)
         if self.take("/"):
             _, digits, position = self.tokens[self.at]
             den = self.nat()
             if den == 0:
                 raise PolyParseError("zero denominator", position + len(digits))
-            return Poly.constant(self.vars, Fraction(sign * num, den))
-        return Poly.constant(self.vars, sign * num)
+            value /= den
+        return {(0,) * len(self.vars): value} if value else {}
 
 
 def parse_poly(text: str, vars: Sequence[str]) -> Poly:
     """Parse polynomial text over the given variables into canonical form."""
     parser = _Parser(text, vars)
-    result = parser.parse_expr()
+    terms = parser.parse_expr()
     if parser.kind():
         raise parser.error("trailing input")
-    return result
+    return Poly._raw(parser.vars, terms)
 
 
 def identifiers_in(text: str) -> list[str]:

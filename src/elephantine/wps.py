@@ -12,7 +12,10 @@ univariate coefficient lists on the chart x_i = 1, and the stratum report
 works on those lists alone: one gcd chain through the partials sorts the
 line's points by the first partial nonzero at each, and the points where
 none is nonzero, which lie on f by Euler's formula, are the
-non-quasi-smooth ones.
+non-quasi-smooth ones.  Euler's formula also answers the chain's step at
+the chart partial df/dx_i, whose common roots with f are f's repeated roots
+on the line, and Euclid's algorithm stops at its first constant remainder,
+so a coprime pair costs no division by that constant.
 
 Anticanonical data (degree, monomial basis of sections, and the elephant
 equation when the unique section is a coordinate) also lives here, including
@@ -116,8 +119,11 @@ def _uni_monic(p: list[Fraction]) -> list[Fraction]:
 
 
 def _uni_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Monic gcd by Euclid, which stops at the first nonzero constant remainder."""
     a, b = list(a), list(b)
     while b:
+        if len(b) == 1:
+            return [Fraction(1)]
         a, b = b, _uni_divmod(a, b)[1]
     return _uni_monic(a)
 
@@ -126,11 +132,13 @@ def _uni_derivative(p: list[Fraction]) -> list[Fraction]:
     return _uni_trim([p[k] * k for k in range(1, len(p))])
 
 
-def _uni_squarefree(p: list[Fraction]) -> list[Fraction]:
-    """Monic squarefree part; its degree counts the distinct complex roots."""
-    if not p or _uni_deg(p) == 0:
-        return _uni_monic(p)
-    return _uni_monic(_uni_exact_div(p, _uni_gcd(p, _uni_derivative(p))))
+def _uni_squarefree(p: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Monic squarefree part, whose degree counts the distinct complex roots,
+    and gcd(p, p'), whose roots are the repeated ones ([1] below degree 1)."""
+    if _uni_deg(p) < 1:
+        return _uni_monic(p), [Fraction(1)]
+    repeated = _uni_gcd(p, _uni_derivative(p))
+    return _uni_monic(_uni_exact_div(p, repeated)), repeated
 
 
 def _uni_strip_origin(p: list[Fraction]) -> list[Fraction]:
@@ -142,6 +150,8 @@ def _uni_strip_origin(p: list[Fraction]) -> list[Fraction]:
 
 
 def _uni_exact_div(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    if b == [1]:
+        return list(a)
     quot, rem = _uni_divmod(a, b)
     if rem:
         raise InvariantError("inexact univariate division")
@@ -179,7 +189,8 @@ def _line_forms(f: Poly, i: int, j: int) -> tuple[list[list[Fraction]], list[boo
             if coeff:
                 coeffs[form][power] = coeff
                 at_vertex[form] |= x_i_power == 0
-    forms = [[terms.get(k, Fraction(0)) for k in range(max(terms, default=-1) + 1)] for terms in coeffs]
+    zero = Fraction(0)
+    forms = [[terms.get(k, zero) for k in range(max(terms, default=-1) + 1)] for terms in coeffs]
     return forms, at_vertex
 
 
@@ -299,7 +310,11 @@ def stratum_report(surface: WpsHypersurface, i: int, j: int) -> StratumReport:
     stabilizer is nontrivial, with that partial's variable eliminated.  By
     Euler's formula d*f = w_i*x_i*df/dx_i + w_j*x_j*df/dx_j, f vanishes
     wherever every partial does, so what the chain leaves over is exactly
-    the non-quasi-smooth set.  Roots are counted exactly (squarefree degree)
+    the non-quasi-smooth set.  At x_i = 1, x_j = t != 0 on a point of f
+    the formula reads w_i*df/dx_i = -w_j*t*df/dx_j, and df/dx_j is the
+    derivative of f along the line, so the step at df/dx_i takes the gcd
+    with gcd(f, f'), which the squarefree part already computed (1 when f is
+    squarefree on the line).  Roots are counted exactly (squarefree degree)
     and identified under the residual mu_{w_i} action on the chart, whose
     effective order is w_i / gcd(w_i, w_j).
     """
@@ -326,7 +341,7 @@ def stratum_report(surface: WpsHypersurface, i: int, j: int) -> StratumReport:
         vertex_flags.append(f.vars[j])
 
     # distinct nonzero points of the line on the surface, in the x_i = 1 chart
-    points = _uni_squarefree(_uni_strip_origin(system[0] if system else []))
+    points, repeated = _uni_squarefree(_uni_strip_origin(system[0] if system else []))
     quotient_points = not contained and stab > 1
     batches: list[StratumPointBatch] = []
     for k, pk in enumerate(forms[1:]):
@@ -334,7 +349,9 @@ def stratum_report(surface: WpsHypersurface, i: int, j: int) -> StratumReport:
             break
         if not pk:
             continue
-        shared = _uni_gcd(points, pk)
+        # at a nonzero point of f, df/dx_i vanishes where df/dx_j does
+        # (Euler): at a repeated root.  On a line in f, df/dx_i is 0.
+        shared = _uni_gcd(points, repeated if k == i else pk)
         batch_poly = _uni_exact_div(points, shared)
         points = shared
         if not quotient_points or _uni_deg(batch_poly) < 1:

@@ -162,6 +162,24 @@ def test_wps_subcommand_matches_inventory():
     assert ("stratum (w1,w2)", "1/5(1,2,3)", 3) in inventory
 
 
+def test_wps_repeated_roots_on_a_line_are_non_quasi_smooth():
+    # on the line {z = t = w = 0} f is (x^2 - y^2)^2: two double roots off
+    # the vertices, where df/dy vanishes with df/dx (Euler), so the points
+    # are not quasi-smooth although f is nonzero on the line
+    result = run_json([
+        "wps", "--weights", "1,1,1,1,1", "--degree", "4",
+        "--equation", "(y^2-x^2)^2+z^4+t^4+w^4",
+    ])["result"]
+    assert result["inventory"] == [
+        {"count": 2, "kind": "non_quasi_smooth", "location": "stratum (y,x)", "type": None},
+    ]
+    stratum = result["strata"][0]
+    assert stratum["variables"] == ["y", "x"] and not stratum["contained_in_hypersurface"]
+    assert stratum["points"] == [
+        {"count": 2, "point_poly": "x^2-1", "quasi_smooth": False, "stabilizer": 1},
+    ]
+
+
 def test_wps_vars_in_weight_order_when_inference_fails():
     report = run_json([
         "wps", "--weights", "1,2,2,3,7", "--degree", "14",
@@ -284,6 +302,19 @@ def test_parse_error_on_a_non_decimal_digit_is_input_error():
     assert code == 2
     assert out == ""
     assert "expected a number" in err and "internal error" not in err
+
+
+def test_deeply_nested_germ_is_input_error():
+    # past poly.MAX_NESTING open parentheses the parser stops with a parse
+    # error at the offending '(' instead of running out of Python stack
+    for depth in (101, 300):
+        germ = "(" * depth + "x^2+y^3+z^5" + ")" * depth
+        code, out, err = run_cli(["milnor", "--germ", germ])
+        assert code == 2 and out == "", depth
+        assert "more than 100 nested parentheses (at position 100)" in err, err
+        assert "internal error" not in err
+    code, out, err = run_cli(["milnor", "--germ", "(" * 100 + "x^2+y^3+z^5" + ")" * 100])
+    assert code == 0 and json.loads(out)["result"]["milnor_number"] == 8
 
 
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),

@@ -52,6 +52,10 @@ CASES = [
      "variable index must lie in 0..2, got -1"),
     ("assign-index-arity", lambda: P.assign(_poly("x+y*z+z^2"), {3: 1}), PolyError,
      "variable index must lie in 0..2, got 3"),
+    ("parse-nesting-101", lambda: _poly("(" * 101 + "x" + ")" * 101), P.PolyParseError,
+     "more than 100 nested parentheses (at position 100)"),
+    ("parse-nesting-300", lambda: _poly("x+" + "(" * 300 + "y" + ")" * 300), P.PolyParseError,
+     "more than 100 nested parentheses (at position 102)"),
     ("quotient-order", lambda: QuotientType(0, (1, 1)), QuotientTypeError,
      "group order must be >= 1"),
     ("parse-type-weights", lambda: cyclo.parse_type("1/3(1,a)"), QuotientTypeError,

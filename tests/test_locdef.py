@@ -583,6 +583,29 @@ def test_in_m2_image_matches_fraction_reference():
     assert answers == {True, False}
 
 
+def test_f5_criterion_leaves_few_reductions_to_zero(monkeypatch):
+    # a semi-quasi-homogeneous germ with mu = 6 whose pivot rows reach 104
+    # bits: inserting every multiple m * g_i below N = 16 made 1800 Jacobian
+    # rows, 990 of them reducing to zero (2360 and 1550 for Tjurina)
+    f = P.parse_poly(
+        "-6*z^5-y^4-8*y^3*z-24*y^2*z^2-32*y*z^3-16*z^4+3*x^3+9*x^2*y+9*x*y^2"
+        "-3*x*y*z-6*x*z^2+3*y^3-3*y^2*z-6*y*z^2-2*z^2", V3)
+    insert = locdef._RowSpace.insert
+    counts = {"rows": 0, "zero": 0}
+
+    def counting_insert(space, row):
+        counts["rows"] += 1
+        pivot = insert(space, row)
+        counts["zero"] += not pivot
+        return pivot
+
+    monkeypatch.setattr(locdef._RowSpace, "insert", counting_insert)
+    for ideal_tag, rows, zero in (("jacobian", 812, 2), ("tjurina", 818, 8)):
+        counts.update(rows=0, zero=0)
+        assert locdef.quotient_dim(f, ideal_tag, 16).dimension == 6
+        assert counts == {"rows": rows, "zero": zero}, ideal_tag
+
+
 @pytest.mark.parametrize("nvars", range(1, 5))
 def test_grlex_keys(nvars):
     # the cached keys below degree N are poly's layout at cap N - 1 (its own

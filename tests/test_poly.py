@@ -149,6 +149,184 @@ def test_identifiers_in_names_every_variable_the_parser_reads():
         assert isinstance(P.parse_poly(text, names), Poly), text
 
 
+class _RecursiveParser:
+    """The parser as a recursive evaluation, one Poly per factor: the reference.
+
+    Every factor becomes a Poly, every product goes through Poly.__mul__ and
+    every power through Poly.__pow__; parse_poly folds one-term factors into
+    one monomial instead, and must give the same terms in the same order and
+    the same errors at the same positions.
+    """
+
+    TOKEN = re.compile(r"(?P<nat>\d+)|(?P<ident>[^\W\d]\w*)|\S")
+
+    def __init__(self, text, vars):
+        self.tokens = [(m.lastgroup or m.group(), m.group(), m.start())
+                       for m in self.TOKEN.finditer(text)]
+        self.tokens.append(("", "", len(text)))
+        self.at = 0
+        self.vars = tuple(vars)
+        self.index = {name: i for i, name in enumerate(self.vars)}
+
+    def kind(self):
+        return self.tokens[self.at][0]
+
+    def error(self, message):
+        return PolyParseError(message, self.tokens[self.at][2])
+
+    def take(self, kind):
+        if self.kind() == kind:
+            self.at += 1
+            return True
+        return False
+
+    def nat(self):
+        kind, digits, position = self.tokens[self.at]
+        if kind != "nat":
+            raise self.error("expected a number")
+        try:
+            value = int(digits)
+        except ValueError as exc:
+            raise PolyParseError(f"number of {len(digits)} digits is too long", position) from exc
+        self.at += 1
+        return value
+
+    def parse(self):
+        result = self.parse_expr()
+        if self.kind():
+            raise self.error("trailing input")
+        return result
+
+    def parse_expr(self):
+        terms = {}
+        sign = 1
+        if not self.take("+") and self.take("-"):
+            sign = -1
+        while True:
+            for mono, coeff in self.parse_term().terms.items():
+                coeff = coeff if sign > 0 else -coeff
+                total = terms[mono] + coeff if mono in terms else coeff
+                if total:
+                    terms[mono] = total
+                else:
+                    del terms[mono]
+            if self.take("+"):
+                sign = 1
+            elif self.take("-"):
+                sign = -1
+            else:
+                return Poly(self.vars, terms)
+
+    def parse_term(self):
+        result = self.parse_factor()
+        while self.take("*") or self.kind() in ("nat", "ident", "("):
+            result = result * self.parse_factor()
+        return result
+
+    def parse_factor(self):
+        base = self.parse_base()
+        if self.take("^"):
+            return base ** self.nat()
+        return base
+
+    def parse_base(self):
+        if self.take("("):
+            inner = self.parse_expr()
+            if not self.take(")"):
+                raise self.error("expected ')'")
+            return inner
+        kind, name, position = self.tokens[self.at]
+        if kind == "ident":
+            if name not in self.index:
+                raise PolyParseError(f"unknown variable {name!r}", position)
+            self.at += 1
+            return Poly.variable(self.vars, self.index[name])
+        sign = 1
+        if self.take("-"):
+            sign = -1
+            if self.kind() != "nat":
+                raise self.error("expected a number after '-'")
+        elif kind != "nat":
+            raise self.error("expected a number, variable, or '('")
+        num = self.nat()
+        if self.take("/"):
+            _, digits, position = self.tokens[self.at]
+            den = self.nat()
+            if den == 0:
+                raise PolyParseError("zero denominator", position + len(digits))
+            return Poly.constant(self.vars, Fraction(sign * num, den))
+        return Poly.constant(self.vars, sign * num)
+
+
+def nested_text(rng, depth=0):
+    """A random expression with nested parentheses, powers, signs,
+    juxtaposition and rationals; its factors may repeat a variable."""
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        factors = []
+        for _ in range(rng.randint(1, 3)):
+            shape = rng.random()
+            if shape < 0.45:
+                base, top = rng.choice(V3), 3
+            elif shape < 0.7 or depth == 3:
+                base, top = str(rng.choice((0, 1, 1, 2, 3, 12))), 3
+                if rng.random() < 0.3:
+                    base += f"/{rng.randint(1, 6)}"
+            else:
+                # a parenthesized sum stays small when raised to a power
+                base, top = f"({nested_text(rng, depth + 1)})", 2
+            if rng.random() < 0.3:
+                base += f"^{rng.randint(0, top)}"
+            factors.append(base)
+        text = factors[0]
+        for factor in factors[1:]:
+            # juxtaposition needs a space between names and digits
+            text += rng.choice(["*", " * ", " "]) + factor
+        terms.append(text)
+    text = rng.choice(["", "-", "+ "]) + terms[0]
+    for term in terms[1:]:
+        if rng.random() < 0.2:
+            # a signed rational, reachable after '+' or '*' only
+            term = f"-{rng.randint(0, 5)} {term}"
+            text += rng.choice(["+", "*"]) + term
+        else:
+            text += rng.choice(["+", " - ", "-"]) + term
+    return text
+
+
+def _outcome(parse):
+    try:
+        f = parse()
+    except PolyParseError as err:
+        return "error", str(err), err.position
+    # the same terms in the same order
+    return "poly", list(f.terms.items())
+
+
+def test_parse_matches_the_recursive_reference():
+    rng = random.Random(2027)
+    kinds = {"poly": 0, "error": 0}
+    for _ in range(3000):
+        text = nested_text(rng)
+        if rng.random() < 0.4:
+            # a malformed variant: one character dropped, doubled or replaced
+            at = rng.randrange(len(text))
+            edit = rng.choice(("drop", "double", "replace"))
+            if edit == "drop":
+                text = text[:at] + text[at + 1:]
+            elif edit == "double":
+                text = text[:at] + text[at] + text[at:]
+            else:
+                text = text[:at] + rng.choice("()+-*/^ 0xw") + text[at + 1:]
+        if re.search(r"\^\s*\d\d", text):
+            continue  # no power is too dear to expand
+        expected = _outcome(lambda: _RecursiveParser(text, V3).parse())
+        assert _outcome(lambda: P.parse_poly(text, V3)) == expected, text
+        kinds[expected[0]] += 1
+    # both outcomes are well represented
+    assert min(kinds.values()) >= 500, kinds
+
+
 def test_parse_rejects_unknown_variable():
     with pytest.raises(PolyParseError) as err:
         P.parse_poly("x+q", V3)

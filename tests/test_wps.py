@@ -339,7 +339,7 @@ def _two_pass_stratum_report(X, i, j):
     for form in system[1:]:
         sing = wps._uni_gcd(sing, form)
     sing = wps._uni_strip_origin(sing)
-    sing = wps._uni_squarefree(sing) if sing else sing
+    sing = wps._uni_squarefree(sing)[0] if sing else sing
     vertex_flags = []
     if all(form[0] == 0 for form in system):
         vertex_flags.append(f.vars[i])
@@ -354,7 +354,7 @@ def _two_pass_stratum_report(X, i, j):
             stabilizer=stab,
         ))
     if not contained and stab > 1:
-        remaining = wps._uni_squarefree(wps._uni_strip_origin(forms[0]))
+        remaining = wps._uni_squarefree(wps._uni_strip_origin(forms[0]))[0]
         if sing and wps._uni_deg(sing) >= 1:
             remaining = wps._uni_exact_div(remaining, wps._uni_gcd(remaining, sing))
         for k, pk in enumerate(forms[1:]):
@@ -480,6 +480,61 @@ def test_stratum_report_matches_two_pass_reference():
                 seen["both_kinds"] += kinds == {False, True}
     # the sample reaches every branch of both reports
     assert min(seen.values()) >= 10 and len(seen) == 10, seen
+
+
+def _plain_euclid(a, b):
+    # Euclid run to a zero remainder, then made monic: the reference gcd
+    a, b = list(a), list(b)
+    while b:
+        rem = list(a)
+        while len(rem) >= len(b):
+            factor, shift = rem[-1] / b[-1], len(rem) - len(b)
+            for k, c in enumerate(b):
+                rem[shift + k] -= factor * c
+            while rem and rem[-1] == 0:
+                rem.pop()
+        a, b = b, rem
+    return [c / a[-1] for c in a] if a else a
+
+
+def _random_uni(rng, degree):
+    coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(degree + 1)]
+    if degree >= 0:
+        coeffs[-1] = Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 2))
+    return coeffs
+
+
+def _uni_product(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for k, c in enumerate(a):
+        for m, d in enumerate(b):
+            out[k + m] += c * d
+    return out
+
+
+def test_uni_gcd_matches_plain_euclid():
+    # a shared factor gives a nontrivial gcd; coprime pairs run into a
+    # nonzero constant remainder, where the chain stops early
+    rng = random.Random(27)
+    seen = Counter()
+    for _ in range(600):
+        common = _random_uni(rng, rng.choice((-1, 0, 0, 1, 2)))
+        a = _random_uni(rng, rng.randint(-1, 4))
+        b = _random_uni(rng, rng.randint(-1, 4))
+        if common:
+            a, b = _uni_product(a, common) if a else a, _uni_product(b, common) if b else b
+        expected = _plain_euclid(a, b)
+        assert wps._uni_gcd(a, b) == expected, (a, b)
+        seen["zero" if not expected else "one" if len(expected) == 1 else "nontrivial"] += 1
+        if len(a) > 1:
+            part, repeated = wps._uni_squarefree(a)
+            assert repeated == _plain_euclid(a, wps._uni_derivative(a))
+            assert _uni_product(part, repeated) == [c / a[-1] for c in a]
+    assert min(seen.values()) >= 10 and len(seen) == 3, seen
+    # division by 1 is a copy of the dividend
+    a = _random_uni(rng, 3)
+    quotient = wps._uni_exact_div(a, [Fraction(1)])
+    assert quotient == a and quotient is not a
 
 
 def test_coordinate_indices_out_of_range_are_input_errors():
