@@ -18,7 +18,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 
 from . import __version__, cyclo, duval as duval_mod, locdef, poly as P, wblow, wps as wps_mod
@@ -229,8 +228,6 @@ def _wps_surface(
         degrees = tuple(int(part) for part in degree_raw.split(","))
     except ValueError as exc:
         raise InputError(f"bad degree list {degree_raw!r}") from exc
-    if any(w < 1 for w in weights) or any(d < 1 for d in degrees):
-        raise InputError("weights and degrees must be positive")
 
     amp, basis = wps_mod.anticanonical_data(weights, degrees)
     result: dict = {
@@ -268,8 +265,8 @@ def _wps_surface(
     result["equation"] = P.render(equation)
     result["sections"] = [_mono_str(m, names) for m in analysis.sections]
     result["vertices"] = [_vertex_record(v) for v in analysis.vertices]
-    result["strata"] = [_stratum_record(s) for s in analysis.strata]
-    result["inventory"] = [asdict(entry) for entry in analysis.inventory]
+    result["strata"] = [_stratum_record(s, analysis.vertices) for s in analysis.strata]
+    result["inventory"] = [dict(vars(entry)) for entry in analysis.inventory]
     result["elephant"] = _elephant_record(analysis.elephant)
     result["scope"] = (
         "coordinate points and 1-dimensional coordinate strata only; "
@@ -299,14 +296,15 @@ def _vertex_record(v: wps_mod.VertexReport) -> dict:
     return record
 
 
-def _stratum_record(s: wps_mod.StratumReport) -> dict:
+def _stratum_record(s: wps_mod.StratumReport, vertices: tuple[wps_mod.VertexReport, ...]) -> dict:
+    ends = [vertices[k] for k in s.pair]  # coordinate points, decided by their vertex reports
     record = {
         "variables": list(s.variables),
         "stabilizer": s.stabilizer,
         "contained_in_hypersurface": s.contained,
         "entirely_singular": s.entirely_singular,
         "quotient_curve": s.quotient_curve,
-        "vertex_flags": list(s.vertex_flags),
+        "vertex_flags": [v.variable for v in ends if v.on_hypersurface and not v.quasi_smooth],
         "points": [],
     }
     for batch in s.batches:
@@ -314,7 +312,7 @@ def _stratum_record(s: wps_mod.StratumReport) -> dict:
             "count": batch.count,
             "point_poly": batch.point_poly,
             "quasi_smooth": batch.quasi_smooth,
-            "stabilizer": batch.stabilizer,
+            "stabilizer": s.stabilizer,
         }
         if batch.quasi_smooth:
             entry["eliminated"] = batch.eliminated

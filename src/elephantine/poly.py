@@ -92,6 +92,8 @@ def monomials_of_weighted_degree(weights: Sequence[int], target: int) -> list[Mo
     Each exponent runs down from its largest value, so the tuples come in
     descending lex order, which a stable sort by total degree makes grlex.
     """
+    if not weights or min(weights) < 1:
+        raise PolyError(f"need one or more positive weights, got {tuple(weights)}")
     partial = [((), target)] if target >= 0 else []  # (prefix, weighted degree left)
     for w in weights[:-1]:
         partial = [(prefix + (e,), left - e * w)
@@ -471,6 +473,10 @@ def shears(
     the content keeps D the lcm of the reduced denominators, as pack builds
     it, so the result does not depend on J.
     """
+    if not 0 <= i < f.arity:
+        raise PolyError(f"variable index must lie in 0..{f.arity - 1}, got {i}")
+    if k < 1 or lead == 0:
+        raise PolyError(f"shear needs k >= 1 and a nonzero lead, got k = {k}, lead = {lead}")
     code = _Grlex(f.arity, cap)
     packed, den = code.pack(f)
     form = sorted(packed.items())

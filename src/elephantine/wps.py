@@ -163,35 +163,31 @@ def _uni_render(p: list[Fraction], name: str) -> str:
     return P.render(Poly((name,), terms))
 
 
-def _line_forms(f: Poly, i: int, j: int) -> tuple[list[list[Fraction]], list[bool]]:
+def _line_forms(f: Poly, i: int, j: int) -> list[list[Fraction]]:
     """f, d/dx_0 f, ..., d/dx_{n-1} f on the line {x_k = 0, k not in {i, j}}.
 
     One pass over the terms that survive there: those in x_i and x_j alone,
     and those linear in one further x_k (they survive only in d/dx_k f).
     Each form comes back as its coefficient list in x_j at x_i = 1 (empty
-    when it vanishes on the line), with a flag saying whether it is nonzero
-    at the x_j vertex.  The forms are weighted-homogeneous, so the exponent
-    of x_j fixes the term.
+    when it vanishes on the line).  The forms are weighted-homogeneous, so
+    the exponent of x_j fixes the term.
     """
     coeffs: list[dict[int, Fraction]] = [{} for _ in range(f.arity + 1)]
-    at_vertex = [False] * (f.arity + 1)
     for mono, c in f.terms.items():
         a, b = mono[i], mono[j]
         off = [k for k, e in enumerate(mono) if e and k != i and k != j]
         if not off:
-            # (form, x_j exponent, coefficient, x_i exponent) in f, d/dx_i f, d/dx_j f
-            images = ((0, b, c, a), (i + 1, b, a * c, a - 1), (j + 1, b - 1, b * c, a))
+            # (form, x_j exponent, coefficient) in f, d/dx_i f, d/dx_j f
+            images = ((0, b, c), (i + 1, b, a * c), (j + 1, b - 1, b * c))
         elif len(off) == 1 and mono[off[0]] == 1:
-            images = ((off[0] + 1, b, c, a),)
+            images = ((off[0] + 1, b, c),)
         else:
             continue
-        for form, power, coeff, x_i_power in images:
+        for form, power, coeff in images:
             if coeff:
                 coeffs[form][power] = coeff
-                at_vertex[form] |= x_i_power == 0
     zero = Fraction(0)
-    forms = [[terms.get(k, zero) for k in range(max(terms, default=-1) + 1)] for terms in coeffs]
-    return forms, at_vertex
+    return [[terms.get(k, zero) for k in range(max(terms, default=-1) + 1)] for terms in coeffs]
 
 
 # -- vertex reports ------------------------------------------------------
@@ -242,7 +238,6 @@ def vertex_report(surface: WpsHypersurface, i: int) -> VertexReport:
         if len(off) == 1 and mono[off[0]] == 1:
             eliminated = min(eliminated, off[0])
     if eliminated == n:
-        chart_vars = tuple(f.vars[k] for k in range(n) if k != i)
         chart_eq = P.assign(f, {i: 1})
         action = QuotientType(w, tuple(surface.weights[k] for k in range(n) if k != i))
         return VertexReport(
@@ -251,7 +246,7 @@ def vertex_report(surface: WpsHypersurface, i: int) -> VertexReport:
             weight=w,
             on_hypersurface=True,
             quasi_smooth=False,
-            local_model=LocalModel(variables=chart_vars, equation=chart_eq, action=action),
+            local_model=LocalModel(variables=chart_eq.vars, equation=chart_eq, action=action),
         )
     transverse = tuple(
         surface.weights[k] for k in range(n) if k not in (i, eliminated)
@@ -279,7 +274,6 @@ class StratumPointBatch:
     count: int
     point_poly: str
     quasi_smooth: bool
-    stabilizer: int
     eliminated: str | None = None
     chart_variable: str | None = None
     quotient: QuotientType | None = None
@@ -295,7 +289,6 @@ class StratumReport:
     entirely_singular: bool
     quotient_curve: bool
     batches: tuple[StratumPointBatch, ...]
-    vertex_flags: tuple[str, ...]
 
 
 def stratum_report(surface: WpsHypersurface, i: int, j: int) -> StratumReport:
@@ -316,7 +309,9 @@ def stratum_report(surface: WpsHypersurface, i: int, j: int) -> StratumReport:
     with gcd(f, f'), which the squarefree part already computed (1 when f is
     squarefree on the line).  Roots are counted exactly (squarefree degree)
     and identified under the residual mu_{w_i} action on the chart, whose
-    effective order is w_i / gcd(w_i, w_j).
+    effective order is w_i / gcd(w_i, w_j).  The report covers the open
+    line, where x_i and x_j are both nonzero; its two ends are coordinate
+    points, and vertex_report alone decides those.
     """
     f = surface.equation
     n = f.arity
@@ -330,15 +325,9 @@ def stratum_report(surface: WpsHypersurface, i: int, j: int) -> StratumReport:
     stab = gcd(wi, wj)
     residual_order = wi // stab
 
-    forms, at_vertex = _line_forms(f, i, j)
+    forms = _line_forms(f, i, j)
     system = [form for form in forms if form]
     contained = not forms[0]
-
-    vertex_flags = []
-    if all(form[0] == 0 for form in system):
-        vertex_flags.append(f.vars[i])
-    if not any(at_vertex):
-        vertex_flags.append(f.vars[j])
 
     # distinct nonzero points of the line on the surface, in the x_i = 1 chart
     points, repeated = _uni_squarefree(_uni_strip_origin(system[0] if system else []))
@@ -364,7 +353,6 @@ def stratum_report(surface: WpsHypersurface, i: int, j: int) -> StratumReport:
                 count=_orbit_count(_uni_deg(batch_poly), residual_order),
                 point_poly=_uni_render(batch_poly, f.vars[j]),
                 quasi_smooth=True,
-                stabilizer=stab,
                 eliminated=f.vars[k],
                 chart_variable=f.vars[chart],
                 quotient=quotient,
@@ -378,7 +366,6 @@ def stratum_report(surface: WpsHypersurface, i: int, j: int) -> StratumReport:
                 count=_orbit_count(_uni_deg(points), residual_order),
                 point_poly=_uni_render(points, f.vars[j]),
                 quasi_smooth=False,
-                stabilizer=stab,
             ),
         )
 
@@ -390,7 +377,6 @@ def stratum_report(surface: WpsHypersurface, i: int, j: int) -> StratumReport:
         entirely_singular=not system,
         quotient_curve=contained and stab > 1,
         batches=tuple(batches),
-        vertex_flags=tuple(vertex_flags),
     )
 
 
@@ -412,6 +398,8 @@ def anticanonical_data(weights: tuple[int, ...], degrees: tuple[int, ...]) -> tu
     The degree tuple has one entry per defining equation, so codimension-2
     complete intersections are covered by the same formula.
     """
+    if any(w < 1 for w in weights) or any(d < 1 for d in degrees):
+        raise WpsError("weights and degrees must be positive")
     amp = sum(weights) - sum(degrees)
     return amp, monomials_of_weighted_degree(weights, amp)
 
@@ -431,7 +419,7 @@ class ElephantReport:
 
 def elephant_equation(surface: WpsHypersurface) -> ElephantReport:
     """Restrict to (x_i = 0) when the unique anticanonical section is x_i."""
-    amp, basis = anticanonical_data(surface.weights, (surface.degree,))
+    basis = anticanonical(surface)[1]
     if len(basis) != 1:
         return ElephantReport(
             status="unsupported",
@@ -495,7 +483,7 @@ def analyze(surface: WpsHypersurface) -> WpsAnalysis:
     strata = tuple(
         stratum_report(surface, i, j) for i in range(n) for j in range(i + 1, n)
     )
-    amp, basis = anticanonical_data(surface.weights, (surface.degree,))
+    amp, basis = anticanonical(surface)
     inventory: list[InventoryEntry] = []
     for v in vertices:
         if not v.on_hypersurface:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -101,3 +102,84 @@ def random_unimodular_yz(rng: random.Random) -> tuple[int, int, int, int]:
 
 def mono_str(mono: tuple[int, ...], vars: tuple[str, ...]) -> str:
     return P.render(Poly(vars, {mono: Fraction(1)}))
+
+
+# -- Kouchnirenko's formula: an oracle for the Milnor number -----------------
+#
+# For a convenient germ f in n variables (a pure power of every variable)
+# that is Newton non-degenerate, mu(f) is the Newton number
+#     nu = sum_k (-1)^(n-k) * k! * V_k + (-1)^n,
+# V_k the k-volume under the Newton boundary, summed over the coordinate
+# k-planes (Kouchnirenko, "Polyedres de Newton et nombres de Milnor", Invent.
+# Math. 32 (1976)): 6V_3 - 2V_2 + V_1 - 1 in 3 variables, 2V_2 - a - b + 1 in 2.
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _normal(points):
+    """An integer normal to the affine hull of 2 points of Z^2 or 3 points of Z^3."""
+    u = [a - b for a, b in zip(points[1], points[0])]
+    if len(u) == 2:
+        return (u[1], -u[0])
+    v = [a - b for a, b in zip(points[2], points[0])]
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _det(rows):
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    return _dot(rows[0], _normal(((0, 0, 0), rows[1], rows[2])))
+
+
+def compact_facets(support):
+    """The compact facets of the Newton polyhedron of a support in Z^2 or Z^3,
+    each as the set of the support points on it, by brute force over the
+    n-subsets: a face is compact when its normal is positive in every
+    coordinate, and for a convenient support every compact facet has one."""
+    facets = set()
+    for chosen in itertools.combinations(support, len(support[0])):
+        normal = _normal(chosen)
+        if all(c < 0 for c in normal):
+            normal = tuple(-c for c in normal)
+        if not all(c > 0 for c in normal):
+            continue
+        level = _dot(normal, chosen[0])
+        if all(_dot(normal, s) >= level for s in support):
+            facets.add(frozenset(s for s in support if _dot(normal, s) == level))
+    return facets
+
+
+def newton_number(f: Poly) -> tuple[int, int] | None:
+    """Kouchnirenko's nu(f) and the count of compact facets, for a germ in 2
+    or 3 variables; None unless f is convenient and certified.
+
+    The certificate asks every compact facet in a coordinate k-plane (of f,
+    k = n, and of each restriction) to be a simplex whose k vertices are its
+    only support points.  Each face function then has linearly independent
+    exponents, so it has no critical point in the torus whatever its nonzero
+    coefficients: f is non-degenerate, and mu(f) = nu(f).  k! V_k sums |det|
+    over the simplices spanned by the origin and those facets.
+    """
+    n = f.arity
+    support = list(f.terms)
+    nu, facet_count = (-1) ** n, 0
+    for k in range(1, n + 1):
+        for axes in itertools.combinations(range(n), k):
+            points = [tuple(m[a] for a in axes) for m in support
+                      if not any(m[b] for b in range(n) if b not in axes)]
+            if k == 1:
+                powers = [p[0] for p in points if p[0]]
+                if not powers:
+                    return None  # not convenient
+                volume = min(powers)
+            else:
+                facets = compact_facets(points)
+                if any(len(facet) != k for facet in facets):
+                    return None
+                volume = sum(abs(_det(sorted(facet))) for facet in facets)
+                facet_count = len(facets)
+            nu += (-1) ** (n - k) * volume
+    return nu, facet_count

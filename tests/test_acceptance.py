@@ -217,7 +217,8 @@ def test_criterion_5_weighted_hypersurface_inventories():
         yz = next(s for s in x16.strata if s.variables == ("y", "z"))
         off_vertex = [b for b in yz.batches if not b.quasi_smooth]
         assert len(off_vertex) == 1 and off_vertex[0].count == 2
-        assert "y" in yz.vertex_flags
+        y16 = next(v for v in x16.vertices if v.variable == "y")  # an end of the (y, z) line
+        assert y16.on_hypersurface and not y16.quasi_smooth
         assert x16.elephant.equation == P.parse_poly("y*u^2+w^4", ("y", "z", "w", "u"))
 
         x15b = wps.analyze(wps.WpsHypersurface(

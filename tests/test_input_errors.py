@@ -4,6 +4,8 @@ The CLI maps these classes to exit code 2, so a check that raised a bare
 IndexError or a wrong class would surface as an internal error instead.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from elephantine import cyclo, duval, locdef, poly as P, wblow, wps
@@ -52,6 +54,20 @@ CASES = [
      "variable index must lie in 0..2, got -1"),
     ("assign-index-arity", lambda: P.assign(_poly("x+y*z+z^2"), {3: 1}), PolyError,
      "variable index must lie in 0..2, got 3"),
+    ("shears-index-negative", lambda: P.shears(_poly("y^2+x^3"), -1, 2, Fraction(1), (3,), 6),
+     PolyError, "variable index must lie in 0..2, got -1"),
+    ("shears-index-arity", lambda: P.shears(_poly("y^2+x^3"), 3, 2, Fraction(1), (3,), 6),
+     PolyError, "variable index must lie in 0..2, got 3"),
+    ("shears-power", lambda: P.shears(_poly("y^2+x^3"), 1, 0, Fraction(1), (3,), 6), PolyError,
+     "shear needs k >= 1 and a nonzero lead, got k = 0, lead = 1"),
+    ("shears-lead", lambda: P.shears(_poly("y^2+x*y^2"), 1, 2, Fraction(0), (3,), 6), PolyError,
+     "shear needs k >= 1 and a nonzero lead, got k = 2, lead = 0"),
+    ("weighted-monomials-no-weights", lambda: P.monomials_of_weighted_degree((), 2), PolyError,
+     "need one or more positive weights, got ()"),
+    ("weighted-monomials-zero-weight", lambda: P.monomials_of_weighted_degree((2, 0), 4),
+     PolyError, "need one or more positive weights, got (2, 0)"),
+    ("monomials-below-no-variables", lambda: locdef.monomials_below(0, 2), PolyError,
+     "need one or more positive weights, got ()"),
     ("parse-nesting-101", lambda: _poly("(" * 101 + "x" + ")" * 101), P.PolyParseError,
      "more than 100 nested parentheses (at position 100)"),
     ("parse-nesting-300", lambda: _poly("x+" + "(" * 300 + "y" + ")" * 300), P.PolyParseError,
@@ -85,6 +101,12 @@ CASES = [
     ("wps-equation-arity", lambda: _surface(equation="y^3+z^3", vars=V2), WpsError,
      "equation arity does not match the weight count"),
     ("wps-equation-zero", lambda: _surface(equation="0"), WpsError, "equation must be nonzero"),
+    ("anticanonical-zero-weight", lambda: wps.anticanonical_data((0, 1, 1), (2,)), WpsError,
+     "weights and degrees must be positive"),
+    ("anticanonical-negative-weight", lambda: wps.anticanonical_data((-1, 1, 1), (2,)), WpsError,
+     "weights and degrees must be positive"),
+    ("anticanonical-degree", lambda: wps.anticanonical_data((1, 1, 1), (2, 0)), WpsError,
+     "weights and degrees must be positive"),
     ("wps-stratum-coordinates", lambda: wps.stratum_report(_surface(), 1, 1), WpsError,
      "stratum needs two distinct coordinates"),
     ("truncated-split-arity", lambda: duval.truncated_split(_poly("y^2+z^3", V2)), DuvalError,

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,10 @@ from elephantine import cyclo, locdef, poly as P
 from elephantine.cyclo import QuotientType
 from elephantine.poly import Poly, grlex_key
 
-from _support import mono_str, random_poly, random_quotient_type, random_semi_invariant, random_unimodular_yz
+from _support import (
+    compact_facets, mono_str, newton_number, random_poly, random_quotient_type,
+    random_semi_invariant, random_unimodular_yz,
+)
 
 V3 = ("x", "y", "z")
 
@@ -329,6 +333,71 @@ def test_default_limit_rises_to_the_bezout_bound_up_to_the_ceiling():
     g = P.parse_poly("x^2+y^2+z^41", V3)
     assert locdef.bezout_bound(g) + 1 > locdef.BEZOUT_CAP_CEILING
     assert locdef.milnor_number(g) is None
+
+
+# -- Kouchnirenko's formula: mu past one Newton facet ------------------------
+
+
+def _convenient_germ(rng):
+    """A pure power of each of 2 or 3 variables, with exponents 2..11, and up
+    to three mixed terms below them, all with rational coefficients."""
+    n = rng.choice((2, 3, 3))
+    powers = [rng.randint(2, 11) for _ in range(n)]
+    monos = [tuple(p if k == i else 0 for k in range(n)) for i, p in enumerate(powers)]
+    for _ in range(rng.randint(1, 3)):
+        mono = tuple(rng.randint(0, p - 1) for p in powers)
+        if sum(1 for e in mono if e) >= 2:
+            monos.append(mono)
+    return Poly(V3[:n], {m: Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
+                         for m in monos})
+
+
+def test_milnor_number_matches_kouchnirenko():
+    rng = random.Random(13)
+    seen = Counter()
+    for _ in range(250):
+        f = _convenient_germ(rng)
+        oracle = newton_number(f)
+        if oracle is None:
+            seen["refused"] += 1
+            continue
+        nu, facets = oracle
+        mu = locdef.milnor_number(f)
+        if mu is None:
+            # undecided (ROADMAP item 12): B + 1 is past the ceiling, and the
+            # plateau lies past the default limit.  Its degree is at most mu,
+            # since every degree below it holds a basis monomial, so the
+            # explicit cap nu + 1 reaches it
+            assert locdef.bezout_bound(f) + 1 > locdef.BEZOUT_CAP_CEILING
+            seen["explicit_cap"] += 1
+            mu = locdef.milnor_number(f, cap=nu + 1)
+        assert mu == nu, (P.render(f), mu, nu)
+        seen["certified"] += 1
+        seen["facets > 1"] += facets > 1
+    # most germs are certified, many have several compact facets, where no
+    # quasi-homogeneous formula applies
+    assert seen == {"certified": 237, "facets > 1": 111, "refused": 13, "explicit_cap": 4}, seen
+
+
+@pytest.mark.parametrize("p, q, r", [(3, 4, 5), (2, 3, 7), (4, 5, 6)])
+def test_milnor_number_of_t_pqr(p, q, r):
+    # T_pqr = x^p + y^q + z^r + xyz with 1/p + 1/q + 1/r < 1 has three compact
+    # facets, one through each pair of pure powers and (1, 1, 1), and
+    # mu = p + q + r - 1 (Arnold, Gusein-Zade, Varchenko, Singularities of
+    # Differentiable Maps I)
+    f = P.parse_poly(f"x^{p}+y^{q}+z^{r}+x*y*z", V3)
+    assert newton_number(f) == (p + q + r - 1, 3)
+    assert locdef.milnor_number(f) == p + q + r - 1
+
+
+def test_kouchnirenko_certificate_refuses_three_planes():
+    # x^3+y^3+z^3-3xyz is the product of three planes, so not isolated, yet
+    # its Newton number is 8: its four support points lie on one facet, and
+    # the certificate, which asks for three, refuses it
+    f = P.parse_poly("x^3+y^3+z^3-3*x*y*z", V3)
+    assert compact_facets(list(f.terms)) == {frozenset(f.terms)}
+    assert newton_number(f) is None
+    assert locdef.milnor_number(f) is None
 
 
 def test_tjurina_equals_milnor_for_quasi_homogeneous():

@@ -1,12 +1,15 @@
+import io
 import itertools
+import json
 import math
 import random
 from collections import Counter
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 
-from elephantine import cyclo, poly as P, wps
+from elephantine import cli, cyclo, poly as P, wps
 from elephantine.cyclo import QuotientType, normalize_type
 from elephantine.wps import WpsError, WpsHypersurface
 
@@ -108,8 +111,10 @@ def test_stratum_x14_y1_y2():
     assert batch.count == 3
     assert batch.normalized == normalized(2, (1, 1, 1))
     assert batch.eliminated == "y1"
-    # the non-quasi-smooth vertex on this stratum is flagged, not counted
-    assert "y1" in report.vertex_flags
+    # the non-quasi-smooth vertex at the y1 end of this stratum is its
+    # vertex report's, not counted among the stratum's points
+    y1 = wps.vertex_report(X14, report.pair[0])
+    assert y1.variable == "y1" and y1.on_hypersurface and y1.quasi_smooth is False
     assert not [b for b in report.batches if not b.quasi_smooth]
 
 
@@ -129,7 +134,9 @@ def test_stratum_x16_y_z():
     non_qs = [b for b in report.batches if not b.quasi_smooth]
     assert len(non_qs) == 1
     assert non_qs[0].count == 2  # four roots of z^4 = -y^6 in two orbit pairs
-    assert report.vertex_flags == ("y",)
+    # of the two ends, only the y vertex is on X and not quasi-smooth
+    ends = [wps.vertex_report(X16, k) for k in report.pair]
+    assert [v.variable for v in ends if v.on_hypersurface and not v.quasi_smooth] == ["y"]
 
 
 def test_orbit_identification_internal_consistency():
@@ -303,8 +310,8 @@ def test_line_forms_match_restricted_partials():
         for i in range(n):
             for j in range(n):
                 if i != j:
-                    forms, at_vertex = wps._line_forms(X.equation, i, j)
-                    assert (forms, at_vertex) == _reference_line_forms(X.equation, i, j)
+                    forms = wps._line_forms(X.equation, i, j)
+                    assert forms == _reference_line_forms(X.equation, i, j)[0]
                     # Euler on the chart x_i = 1, x_j = t: d*F = w_i*P_i + w_j*t*P_j,
                     # so F vanishes wherever every partial does
                     assert [degree * c for c in forms[0]] == _uni_sum(
@@ -329,29 +336,23 @@ def _two_pass_stratum_report(X, i, j):
     wi, wj = X.weights[i], X.weights[j]
     stab = math.gcd(wi, wj)
     residual_order = wi // stab
-    forms, at_vertex = _reference_line_forms(f, i, j)
+    forms = _reference_line_forms(f, i, j)[0]
     system = [form for form in forms if form]
     contained = not forms[0]
     pair, names = (i, j), (f.vars[i], f.vars[j])
     if not system:
-        return wps.StratumReport(pair, names, stab, True, True, stab > 1, (), names)
+        return wps.StratumReport(pair, names, stab, True, True, stab > 1, ())
     sing = system[0]
     for form in system[1:]:
         sing = wps._uni_gcd(sing, form)
     sing = wps._uni_strip_origin(sing)
     sing = wps._uni_squarefree(sing)[0] if sing else sing
-    vertex_flags = []
-    if all(form[0] == 0 for form in system):
-        vertex_flags.append(f.vars[i])
-    if not any(at_vertex):
-        vertex_flags.append(f.vars[j])
     batches = []
     if sing and wps._uni_deg(sing) >= 1:
         batches.append(wps.StratumPointBatch(
             count=wps._orbit_count(wps._uni_deg(sing), residual_order),
             point_poly=wps._uni_render(sing, f.vars[j]),
             quasi_smooth=False,
-            stabilizer=stab,
         ))
     if not contained and stab > 1:
         remaining = wps._uni_squarefree(wps._uni_strip_origin(forms[0]))[0]
@@ -373,7 +374,6 @@ def _two_pass_stratum_report(X, i, j):
                 count=wps._orbit_count(wps._uni_deg(batch_poly), residual_order),
                 point_poly=wps._uni_render(batch_poly, f.vars[j]),
                 quasi_smooth=True,
-                stabilizer=stab,
                 eliminated=f.vars[k],
                 chart_variable=f.vars[chart],
                 quotient=quotient,
@@ -381,9 +381,7 @@ def _two_pass_stratum_report(X, i, j):
             ))
         # every root of f off the non-quasi-smooth set has a nonzero partial
         assert wps._uni_deg(remaining) < 1
-    return wps.StratumReport(
-        pair, names, stab, contained, False, contained and stab > 1, tuple(batches), tuple(vertex_flags)
-    )
+    return wps.StratumReport(pair, names, stab, contained, False, contained and stab > 1, tuple(batches))
 
 
 def _two_scan_vertex_report(X, i):
@@ -480,6 +478,54 @@ def test_stratum_report_matches_two_pass_reference():
                 seen["both_kinds"] += kinds == {False, True}
     # the sample reaches every branch of both reports
     assert min(seen.values()) >= 10 and len(seen) == 10, seen
+
+
+def _reference_vertex_flags(f, i, j):
+    # the end-vertex rule read off the line forms: the x_i end (t = 0 on the
+    # chart x_i = 1) when every form vanishes there, the x_j end when no form
+    # has a term free of x_i
+    forms, at_vertex = _reference_line_forms(f, i, j)
+    flags = []
+    if all(not form or form[0] == 0 for form in forms):
+        flags.append(f.vars[i])
+    if not any(at_vertex):
+        flags.append(f.vars[j])
+    return flags
+
+
+def test_cli_vertex_flags_match_the_end_vertex_rule():
+    # the CLI flags a line's ends from their vertex reports; the reference
+    # reads the end-vertex rule off the line forms instead
+    rng = random.Random(28)
+    seen = Counter()
+    surfaces = 0
+    while surfaces < 400:
+        X = _random_surface(rng)
+        if X is None:
+            continue
+        surfaces += 1
+        # --equation=... keeps a leading minus sign from reading as an option
+        argv = ["wps", "--weights", ",".join(map(str, X.weights)), "--degree", str(X.degree),
+                f"--equation={P.render(X.equation)}", "--vars", ",".join(X.vars)]
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert cli.run(argv) == 0
+        strata = json.loads(out.getvalue())["result"]["strata"]
+        n = len(X.weights)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        assert [record["variables"] for record in strata] == [
+            [X.vars[i], X.vars[j]] for i, j in pairs]
+        for record, (i, j) in zip(strata, pairs):
+            assert record["vertex_flags"] == _reference_vertex_flags(X.equation, i, j), (X, i, j)
+            seen["strata"] += 1
+            seen["flagged"] += bool(record["vertex_flags"])
+            seen["both_ends"] += len(record["vertex_flags"]) == 2
+            seen["contained"] += record["contained_in_hypersurface"]
+            seen["entirely_singular"] += record["entirely_singular"]
+    # lines with no flag, one and two, inside X and entirely singular: the
+    # comparison is not vacuous
+    assert seen == {"strata": 2640, "flagged": 1798, "both_ends": 1001, "contained": 1307,
+                    "entirely_singular": 844}, seen
 
 
 def _plain_euclid(a, b):
